@@ -87,7 +87,9 @@ use crate::telemetry::TraceExporter;
 use crate::tracestore::{TraceLookup, TraceStore, WorkloadKey};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::{CsrGraph, VertexId};
-use graphpim_sim::trace::codec::{CodecError, DecodedTrace, TraceReader, CODEC_VERSION};
+use graphpim_sim::trace::codec::{
+    CodecError, DecodedTrace, TraceReader, VerifiedBytes, CODEC_VERSION,
+};
 use graphpim_sim::trace::{TraceEvent, TraceOp};
 use graphpim_sim::validate::ConfigError;
 use graphpim_workloads::kernels::{by_name, Kernel, KernelParams};
@@ -107,9 +109,10 @@ const GRAPH_SEED: u64 = 7;
 /// The engine keeps each distinct workload's trace resident for the whole
 /// sweep; the representation trades replay speed against memory:
 ///
-/// * [`Decoded`](LoadedTrace::Decoded) — the flat op buffer. Fastest to
-///   replay (no varint work per run) but several times the encoded size.
-///   Default at the 1k–100k scales.
+/// * [`Decoded`](LoadedTrace::Decoded) — the flat buffer of 8-byte op
+///   words. Fastest to replay (no varint work per run) but about 2.3×
+///   the encoded size (3.54 B/op on the wire for the fig07 kernels at
+///   LDBC-1k). Default at the 1k–100k scales.
 /// * [`Bytes`](LoadedTrace::Bytes) — the raw encoded stream, decoded
 ///   frame by frame on a producer thread during each replay (see
 ///   [`SystemSim::run_replayed_streaming`]). Default at the 1M scale,
@@ -756,8 +759,10 @@ impl Experiments {
         };
         Some(Arc::clone(cell.get_or_init(|| {
             let fp = self.trace_fingerprint(key, threads);
-            let bytes = match store.lookup(&wkey, fp) {
-                TraceLookup::Hit(bytes) => {
+            // One checksum pass per load: a store hit arrives verified, a
+            // fresh capture is verified here, and neither is hashed again.
+            let verified = match store.lookup(&wkey, fp) {
+                TraceLookup::Hit(verified) => {
                     if self.verbose {
                         crate::obs::info(
                             "tracestore",
@@ -766,7 +771,7 @@ impl Experiments {
                         );
                     }
                     self.profile.lock().unwrap().note_trace_disk_hit();
-                    bytes
+                    Ok(verified)
                 }
                 found => {
                     {
@@ -798,22 +803,27 @@ impl Experiments {
                         .lock()
                         .unwrap()
                         .note_trace_capture(start.elapsed().as_secs_f64());
-                    bytes
+                    VerifiedBytes::new(bytes)
                 }
             };
-            Arc::new(if streaming {
-                // Keep the encoded bytes resident; validate the framing
-                // up front so a bad entry degrades exactly like a decode
-                // error on the buffered path.
-                match TraceReader::new(&bytes) {
-                    Ok(_) => Ok(LoadedTrace::Bytes(bytes)),
-                    Err(e) => Err(e),
+            Arc::new(verified.and_then(|verified| {
+                if streaming {
+                    // Keep the encoded bytes resident. A bad entry failed
+                    // verification above and degrades like a decode error
+                    // on the buffered path.
+                    Ok(LoadedTrace::Bytes(verified.into_vec()))
+                } else {
+                    // The raw bytes are dropped here; replays only ever
+                    // touch the decoded form.
+                    let start = Instant::now();
+                    let decoded = DecodedTrace::decode_verified(&verified)?;
+                    self.profile
+                        .lock()
+                        .unwrap()
+                        .note_trace_decode(start.elapsed().as_secs_f64(), decoded.resident_bytes());
+                    Ok(LoadedTrace::Decoded(decoded))
                 }
-            } else {
-                // The raw bytes are dropped here; replays only ever
-                // touch the decoded form.
-                DecodedTrace::decode(&bytes).map(LoadedTrace::Decoded)
-            })
+            }))
         })))
     }
 
@@ -955,7 +965,7 @@ impl Experiments {
             TraceLookup::Corrupt => return Err(TraceSliceError::Corrupt),
             TraceLookup::Miss => return Err(TraceSliceError::NotCaptured),
         };
-        let mut reader = TraceReader::new(&bytes).map_err(|_| TraceSliceError::Corrupt)?;
+        let mut reader = TraceReader::verified(&bytes);
 
         #[derive(Default)]
         struct Acc {

@@ -95,6 +95,12 @@ pub struct TraceStoreCounts {
     pub captures: usize,
     /// Wall seconds spent in those captures.
     pub capture_seconds: f64,
+    /// Wall seconds spent decoding loaded traces into their resident
+    /// replay form (streaming replay decodes per run and adds nothing).
+    pub decode_seconds: f64,
+    /// Heap bytes of those decoded traces
+    /// ([`DecodedTrace::resident_bytes`](graphpim_sim::trace::codec::DecodedTrace::resident_bytes)).
+    pub decoded_bytes: usize,
     /// Trace-store lookups satisfied from disk.
     pub disk_hits: usize,
     /// Trace-store lookups with no entry.
@@ -150,6 +156,12 @@ impl EngineProfile {
         self.trace.capture_seconds += seconds;
     }
 
+    /// Counts one trace decoded into its resident replay form.
+    pub fn note_trace_decode(&mut self, seconds: f64, resident_bytes: usize) {
+        self.trace.decode_seconds += seconds;
+        self.trace.decoded_bytes += resident_bytes;
+    }
+
     /// Counts a trace-store disk hit.
     pub fn note_trace_disk_hit(&mut self) {
         self.trace.disk_hits += 1;
@@ -192,6 +204,8 @@ impl EngineProfile {
         let t = &self.trace;
         reg.record("tracestore.captures", t.captures as f64);
         reg.record("tracestore.capture_seconds", t.capture_seconds);
+        reg.record("tracestore.decode_seconds", t.decode_seconds);
+        reg.record("tracestore.decoded_bytes", t.decoded_bytes as f64);
         reg.record("tracestore.disk_hits", t.disk_hits as f64);
         reg.record("tracestore.disk_misses", t.disk_misses as f64);
         reg.record("tracestore.corrupt", t.corrupt as f64);
@@ -335,10 +349,13 @@ impl EngineProfile {
         let _ = writeln!(
             s,
             "  \"tracestore\": {{\"captures\": {}, \"capture_seconds\": {:?}, \
+             \"decode_seconds\": {:?}, \"decoded_bytes\": {}, \
              \"disk_hits\": {}, \"disk_misses\": {}, \"corrupt\": {}, \
              \"replays\": {}, \"replay_fallbacks\": {}, \"export_failures\": {}}},",
             t.captures,
             t.capture_seconds,
+            t.decode_seconds,
+            t.decoded_bytes,
             t.disk_hits,
             t.disk_misses,
             t.corrupt,
@@ -457,7 +474,9 @@ mod tests {
         p.note_trace_capture(0.5);
         p.note_replay();
         p.record_run("bfs-k1".into(), 0.1, RunSource::Replayed);
+        p.note_trace_decode(0.25, 4096);
         p.note_trace_disk_hit();
+        p.note_trace_decode(0.5, 8192);
         p.note_replay();
         p.record_run("bfs-k1-pim".into(), 0.1, RunSource::Replayed);
         p.note_trace_export_failure();
@@ -467,6 +486,8 @@ mod tests {
         assert_eq!(t.disk_misses, 1);
         assert_eq!(t.replays, 2);
         assert_eq!(t.export_failures, 1);
+        assert_eq!(t.decode_seconds, 0.75);
+        assert_eq!(t.decoded_bytes, 12288);
         // Replayed runs count as simulated time.
         assert!((p.simulated_seconds() - 0.2).abs() < 1e-12);
         let summary = p.summary();
@@ -477,6 +498,8 @@ mod tests {
         assert_eq!(reg.get("tracestore.captures"), Some(1.0));
         assert_eq!(reg.get("tracestore.replays"), Some(2.0));
         assert_eq!(reg.get("tracestore.export_failures"), Some(1.0));
+        assert_eq!(reg.get("tracestore.decode_seconds"), Some(0.75));
+        assert_eq!(reg.get("tracestore.decoded_bytes"), Some(12288.0));
         // The JSON dump stays parseable with the new section.
         let doc = crate::experiments::cache::json::parse(&p.to_json()).expect("valid JSON");
         let ts = doc
@@ -487,6 +510,7 @@ mod tests {
             .as_object()
             .unwrap();
         assert_eq!(ts.get("replays").unwrap().as_u64(), Some(2));
+        assert_eq!(ts.get("decoded_bytes").unwrap().as_u64(), Some(12288));
     }
 
     #[test]

@@ -386,7 +386,7 @@ impl SystemSim {
     }
 
     /// Replays a pre-decoded trace. Decoding once and replaying the flat
-    /// [`TraceOp`] buffer many times is the engine's steady state: every
+    /// op-word buffer many times is the engine's steady state: every
     /// timing-config sweep point reuses the same [`DecodedTrace`] without
     /// touching the varint codec again. Bit-identical to
     /// [`run_replayed`](Self::run_replayed) on the same bytes.
@@ -429,8 +429,12 @@ impl SystemSim {
         for span in spans {
             ranges[span.thread as usize] = (span.start, span.end);
         }
-        let ops = trace.ops();
-        self.run_chunk(ranges.len(), |t| &ops[ranges[t].0..ranges[t].1]);
+        let words = trace.words();
+        self.run_chunk(
+            ranges.len(),
+            |t| &words[ranges[t].0..ranges[t].1],
+            |w| trace.unpack(w),
+        );
         self.sched_spans = ranges;
     }
 
@@ -591,7 +595,7 @@ impl SystemSim {
         metrics
     }
 
-    #[inline]
+    #[inline(always)]
     fn process(&mut self, t: usize, op: TraceOp) {
         match op {
             TraceOp::Compute(n) => self.cores[t].compute(n),
@@ -849,9 +853,16 @@ impl SystemSim {
     /// of the root's children — the heap's second minimum). The runner-up
     /// key may itself be stale, i.e. an underestimate, which can only end
     /// the fast path early — never reorder ops.
-    fn run_chunk<'s, O>(&mut self, nthreads: usize, ops_of: O)
+    ///
+    /// Ops arrive in whatever element type the source keeps them in —
+    /// [`TraceOp`]s for a live [`Superstep`], packed words for a
+    /// [`DecodedTrace`] — and `unpack` turns each into a [`TraceOp`] just
+    /// before it is processed, so both sources share this one loop.
+    fn run_chunk<'s, E, O, U>(&mut self, nthreads: usize, ops_of: O, unpack: U)
     where
-        O: Fn(usize) -> &'s [TraceOp],
+        E: Copy + 's,
+        O: Fn(usize) -> &'s [E],
+        U: Fn(E) -> TraceOp,
     {
         let cores = self.cores.len();
         let mut heap = std::mem::take(&mut self.sched_heap);
@@ -896,13 +907,13 @@ impl SystemSim {
                 // checks — nothing can preempt it.
                 None => {
                     for &op in &slice[i..] {
-                        self.process(c, op);
+                        self.process(c, unpack(op));
                     }
                     i = n;
                 }
                 Some(bound) => {
                     while i < n {
-                        self.process(c, slice[i]);
+                        self.process(c, unpack(slice[i]));
                         i += 1;
                         if (self.cores[c].now().to_bits(), root.thread) > bound {
                             break;
@@ -936,7 +947,7 @@ impl SystemSim {
 impl TraceConsumer for SystemSim {
     fn chunk(&mut self, step: Superstep) {
         // Scheduling order is a timing contract — see `run_chunk`.
-        self.run_chunk(step.threads.len(), |t| step.threads[t].as_slice());
+        self.run_chunk(step.threads.len(), |t| step.threads[t].as_slice(), |op| op);
     }
 
     fn barrier(&mut self) {

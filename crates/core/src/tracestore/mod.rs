@@ -27,7 +27,7 @@
 //!   (every run executes its kernel live, as before this subsystem).
 
 use graphpim_graph::CsrGraph;
-use graphpim_sim::trace::codec::TraceReader;
+use graphpim_sim::trace::codec::VerifiedBytes;
 use graphpim_workloads::framework::{EncodeTrace, Framework, StreamTrace};
 use graphpim_workloads::kernels::Kernel;
 use std::io::Write;
@@ -78,8 +78,10 @@ impl WorkloadKey {
 /// Result of a [`TraceStore::lookup`].
 #[derive(Debug)]
 pub enum TraceLookup {
-    /// A checksum-valid entry for this (key, fingerprint) pair.
-    Hit(Vec<u8>),
+    /// A checksum-valid entry for this (key, fingerprint) pair. The
+    /// bytes carry their verification, so decoding them does not hash
+    /// them a second time.
+    Hit(VerifiedBytes),
     /// The entry exists but fails codec validation (torn write, bit rot,
     /// or written by an incompatible codec without a fingerprint bump).
     /// The caller should recapture; the bad file has been evicted
@@ -141,8 +143,8 @@ impl TraceStore {
     pub fn lookup(&self, key: &WorkloadKey, fingerprint: u64) -> TraceLookup {
         let path = self.path(key, fingerprint);
         match std::fs::read(&path) {
-            Ok(bytes) => match TraceReader::new(&bytes) {
-                Ok(_) => TraceLookup::Hit(bytes),
+            Ok(bytes) => match VerifiedBytes::new(bytes) {
+                Ok(verified) => TraceLookup::Hit(verified),
                 Err(_) => self.evict_corrupt(&path),
             },
             Err(_) => TraceLookup::Miss,
@@ -172,10 +174,10 @@ impl TraceStore {
         if std::fs::rename(path, &quarantine).is_err() {
             return TraceLookup::Corrupt;
         }
-        match std::fs::read(&quarantine) {
-            Ok(bytes) if TraceReader::new(&bytes).is_ok() => {
+        match std::fs::read(&quarantine).map(VerifiedBytes::new) {
+            Ok(Ok(verified)) => {
                 let _ = std::fs::rename(&quarantine, path);
-                TraceLookup::Hit(bytes)
+                TraceLookup::Hit(verified)
             }
             _ => {
                 let _ = std::fs::remove_file(&quarantine);

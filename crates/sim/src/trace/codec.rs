@@ -29,6 +29,7 @@
 use super::{Superstep, TraceEvent, TraceOp};
 use crate::hmc::HmcAtomicOp;
 use crate::mem::addr::Addr;
+use std::sync::OnceLock;
 
 /// Format version written into (and required in) the header. Bump on any
 /// wire-format change; stores fold it into their fingerprints so old
@@ -66,7 +67,9 @@ pub enum CodecError {
     BadOpTag(u8),
     /// An atomic wire code outside [`HmcAtomicOp::ALL`].
     BadAtomicCode(u8),
-    /// A chunk referenced a thread index at or above the header count.
+    /// A chunk referenced a thread index at or above the header count, or
+    /// not above the chunk's previous thread (the encoder lists each
+    /// populated thread once, in ascending order).
     BadThread(u64),
     /// Bytes remain after the end frame (before the footer).
     TrailingData,
@@ -88,7 +91,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadChecksum => write!(f, "trace checksum mismatch (corrupt)"),
             CodecError::BadOpTag(t) => write!(f, "unknown op tag {t:#04x}"),
             CodecError::BadAtomicCode(c) => write!(f, "unknown atomic wire code {c}"),
-            CodecError::BadThread(t) => write!(f, "thread index {t} out of range"),
+            CodecError::BadThread(t) => write!(f, "thread index {t} out of range or order"),
             CodecError::TrailingData => write!(f, "trailing data after end frame"),
             CodecError::BadVarint => write!(f, "overlong varint"),
         }
@@ -380,6 +383,115 @@ impl TraceEncoder {
     }
 }
 
+/// Encoded trace bytes whose header and footer checksum have been
+/// verified. Holding one proves the byte-serial FNV pass already ran, so
+/// [`TraceReader::verified`] and [`DecodedTrace::decode_verified`] skip
+/// it: a warm store load hashes each entry once, not once per consumer.
+/// Derefs to the raw bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedBytes(Vec<u8>);
+
+impl VerifiedBytes {
+    /// Verifies `bytes` exactly as [`TraceReader::new`] does.
+    pub fn new(bytes: Vec<u8>) -> Result<VerifiedBytes, CodecError> {
+        TraceReader::new(&bytes)?;
+        Ok(VerifiedBytes(bytes))
+    }
+
+    /// The raw encoded bytes.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+impl std::ops::Deref for VerifiedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl PartialEq<Vec<u8>> for VerifiedBytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.0 == *other
+    }
+}
+
+/// The longest op on the wire: tag, atomic code, 10-byte varint.
+const MAX_OP_BYTES: usize = 12;
+
+/// Bytes the windowed op parser reads at once. A power of two at least
+/// [`MAX_OP_BYTES`], so masking an in-window index with `WINDOW - 1`
+/// proves it in bounds without changing it.
+const WINDOW: usize = 16;
+
+const _: () = assert!(WINDOW.is_power_of_two() && WINDOW >= MAX_OP_BYTES);
+
+/// Decodes a varint starting at `at` inside a parse window, returning the
+/// value and the offset just past it. `at` is at most 2 (tag plus atomic
+/// code), so the at most ten bytes read stay within the first
+/// [`MAX_OP_BYTES`].
+#[inline(always)]
+fn window_varint(win: &[u8; WINDOW], mut at: usize) -> Result<(u64, usize), CodecError> {
+    let mut value = 0u64;
+    for shift in 0..10 {
+        let b = win[at & (WINDOW - 1)];
+        at += 1;
+        value |= ((b & 0x7f) as u64) << (7 * shift);
+        if b & 0x80 == 0 {
+            return Ok((value, at));
+        }
+    }
+    Err(CodecError::BadVarint)
+}
+
+/// Applies a zigzag address delta to a thread's running address.
+#[inline(always)]
+fn step_addr(last: &mut Addr, zigzagged: u64) -> Addr {
+    *last = last.wrapping_add(unzigzag(zigzagged) as u64);
+    *last
+}
+
+/// Parses the op at the start of a window, returning it and its length
+/// in bytes. `last` is the op's thread's running address.
+#[inline(always)]
+fn window_op(win: &[u8; WINDOW], last: &mut Addr) -> Result<(TraceOp, usize), CodecError> {
+    let tag = win[0];
+    let dep = tag & FLAG_DEP != 0;
+    Ok(match tag & KIND_MASK {
+        KIND_COMPUTE => {
+            let (n, len) = window_varint(win, 1)?;
+            (TraceOp::Compute(n as u32), len)
+        }
+        KIND_LOAD => {
+            let (delta, len) = window_varint(win, 1)?;
+            let addr = step_addr(last, delta);
+            (TraceOp::Load { addr, dep }, len)
+        }
+        KIND_STORE => {
+            let (delta, len) = window_varint(win, 1)?;
+            let addr = step_addr(last, delta);
+            (TraceOp::Store { addr }, len)
+        }
+        KIND_ATOMIC => {
+            let code = win[1];
+            let op = HmcAtomicOp::from_code(code).ok_or(CodecError::BadAtomicCode(code))?;
+            let (delta, len) = window_varint(win, 2)?;
+            let addr = step_addr(last, delta);
+            (TraceOp::Atomic { addr, op, dep }, len)
+        }
+        KIND_BRANCH => (
+            TraceOp::Branch {
+                predictable: tag & FLAG_PREDICTABLE != 0,
+                dep,
+            },
+            1,
+        ),
+        _ => return Err(CodecError::BadOpTag(tag)),
+    })
+}
+
 /// Streaming decoder over an encoded trace. Construction verifies the
 /// header and the footer checksum over the whole buffer, so
 /// [`next_event`](Self::next_event) errors only indicate an encoder bug,
@@ -413,10 +525,22 @@ impl<'a> TraceReader<'a> {
         if fnv1a(&bytes[..end]) != want {
             return Err(CodecError::BadChecksum);
         }
+        Self::open(bytes)
+    }
+
+    /// A reader over bytes whose header and checksum were already
+    /// verified: no second checksum pass.
+    pub fn verified(bytes: &'a VerifiedBytes) -> TraceReader<'a> {
+        Self::open(bytes).expect("the thread count was read when the bytes were verified")
+    }
+
+    /// Positions at the first frame of a trace whose length, magic and
+    /// version the caller has checked.
+    fn open(bytes: &'a [u8]) -> Result<TraceReader<'a>, CodecError> {
         let mut reader = TraceReader {
             bytes,
             pos: 6,
-            end,
+            end: bytes.len() - 8,
             threads: 0,
             last_addr: Vec::new(),
             done: false,
@@ -453,40 +577,57 @@ impl<'a> TraceReader<'a> {
         Err(CodecError::BadVarint)
     }
 
-    fn addr(&mut self, t: usize) -> Result<Addr, CodecError> {
-        let delta = unzigzag(self.varint()?);
-        let addr = self.last_addr[t].wrapping_add(delta as u64);
-        self.last_addr[t] = addr;
-        Ok(addr)
+    /// Decodes one op of a thread whose running address is `last`.
+    ///
+    /// The op is parsed out of one fixed-size window ([`window_op`]), so
+    /// it costs a single bounds check instead of one per byte.
+    #[inline]
+    fn op(&mut self, last: &mut Addr) -> Result<TraceOp, CodecError> {
+        let (op, len) = match self.bytes[self.pos..self.end].get(..WINDOW) {
+            Some(win) => window_op(win.try_into().unwrap(), last)?,
+            None => self.op_near_end(last)?,
+        };
+        self.pos += len;
+        Ok(op)
     }
 
-    fn op(&mut self, t: usize) -> Result<TraceOp, CodecError> {
-        let tag = self.byte()?;
-        let dep = tag & FLAG_DEP != 0;
-        match tag & KIND_MASK {
-            KIND_COMPUTE => Ok(TraceOp::Compute(self.varint()? as u32)),
-            KIND_LOAD => Ok(TraceOp::Load {
-                addr: self.addr(t)?,
-                dep,
-            }),
-            KIND_STORE => Ok(TraceOp::Store {
-                addr: self.addr(t)?,
-            }),
-            KIND_ATOMIC => {
-                let code = self.byte()?;
-                let op = HmcAtomicOp::from_code(code).ok_or(CodecError::BadAtomicCode(code))?;
-                Ok(TraceOp::Atomic {
-                    addr: self.addr(t)?,
-                    op,
-                    dep,
-                })
-            }
-            KIND_BRANCH => Ok(TraceOp::Branch {
-                predictable: tag & FLAG_PREDICTABLE != 0,
-                dep,
-            }),
-            _ => Err(CodecError::BadOpTag(tag)),
+    /// [`op`](Self::op) within [`WINDOW`] bytes of the footer: the window
+    /// is a zero-padded copy of what is left. A zero byte ends any varint,
+    /// so an op cut short by the end parses into the padding and fails
+    /// the length check as `Truncated`.
+    #[cold]
+    fn op_near_end(&mut self, last: &mut Addr) -> Result<(TraceOp, usize), CodecError> {
+        let rest = &self.bytes[self.pos..self.end];
+        let mut win = [0; WINDOW];
+        win[..rest.len()].copy_from_slice(rest);
+        let (op, len) = window_op(&win, last)?;
+        if len > rest.len() {
+            return Err(CodecError::Truncated);
         }
+        Ok((op, len))
+    }
+
+    /// Reads a chunk's next span header: its thread index and op count.
+    /// The index must be below the thread count and at least `floor`,
+    /// which then moves past it. Rejecting a repeated thread keeps every
+    /// consumer agreed on one op list per thread per chunk.
+    fn span_header(&mut self, floor: &mut u64) -> Result<(usize, u64), CodecError> {
+        let t = self.varint()?;
+        if t >= self.threads as u64 || t < *floor {
+            return Err(CodecError::BadThread(t));
+        }
+        *floor = t + 1;
+        Ok((t as usize, self.varint()?))
+    }
+
+    /// Accepts the end frame just read, which must be the last byte
+    /// before the footer.
+    fn end_frame(&mut self) -> Result<(), CodecError> {
+        if self.pos != self.end {
+            return Err(CodecError::TrailingData);
+        }
+        self.done = true;
+        Ok(())
     }
 
     /// Decodes the next event, or `Ok(None)` after the end frame.
@@ -496,29 +637,23 @@ impl<'a> TraceReader<'a> {
         }
         match self.byte()? {
             FRAME_END => {
-                if self.pos != self.end {
-                    return Err(CodecError::TrailingData);
-                }
-                self.done = true;
+                self.end_frame()?;
                 Ok(None)
             }
             FRAME_BARRIER => Ok(Some(TraceEvent::Barrier)),
             FRAME_CHUNK => {
                 let mut step = Superstep::new(self.threads);
                 let populated = self.varint()?;
+                let mut floor = 0;
                 for _ in 0..populated {
-                    let t = self.varint()?;
-                    if t >= self.threads as u64 {
-                        return Err(CodecError::BadThread(t));
-                    }
-                    let t = t as usize;
-                    let count = self.varint()?;
+                    let (t, count) = self.span_header(&mut floor)?;
+                    let mut last = self.last_addr[t];
                     let ops = &mut step.threads[t];
                     ops.reserve(count.min(1 << 20) as usize);
                     for _ in 0..count {
-                        let op = self.op(t)?;
-                        ops.push(op);
+                        ops.push(self.op(&mut last)?);
                     }
+                    self.last_addr[t] = last;
                 }
                 Ok(Some(TraceEvent::Chunk(step)))
             }
@@ -547,24 +682,90 @@ pub fn decode(bytes: &[u8]) -> Result<(usize, Vec<TraceEvent>), CodecError> {
 }
 
 /// A fully decoded trace: the whole event stream flattened into one
-/// contiguous [`TraceOp`] buffer plus frame/span indices into it.
+/// contiguous buffer of 8-byte [`OpWord`]s plus frame/span indices into
+/// it.
 ///
-/// Decoding a capture costs about as much as replaying it once, and the
-/// engine replays each capture under several timing configurations — so
-/// the steady state is decode once, replay many times straight off the
-/// flat buffer. The trade is memory: roughly 16 bytes per op live versus
-/// ~3 on the wire.
+/// The engine replays each capture under several timing configurations
+/// (fig07: Baseline, U-PEI and GraphPIM), so the steady state is decode
+/// once, replay many times straight off the flat buffer. The trade is
+/// memory: 8 bytes per op resident versus 3.54 on the wire (the fig07
+/// kernels at LDBC-1k), with the rare address that does not fit a word
+/// kept in a side table. Decoding is not free either: on a 2-CPU x86
+/// box, TC decodes at 13–16 ns/op at LDBC-1k and 21 ns/op at LDBC-10k,
+/// checksum included, against 37–45 and 28 ns/op for each replay.
 #[derive(Debug, Clone)]
 pub struct DecodedTrace {
     threads: usize,
-    ops: Vec<TraceOp>,
+    words: Vec<OpWord>,
+    /// Addresses too wide for an [`OpWord`] payload, indexed by it.
+    wide: Vec<Addr>,
     spans: Vec<ThreadSpan>,
     frames: Vec<DecodedFrame>,
+    /// The [`ops`](DecodedTrace::ops) view, unpacked on first use.
+    view: OnceLock<Vec<TraceOp>>,
+}
+
+/// One op of a [`DecodedTrace`], packed into 8 bytes ([`TraceOp`] takes
+/// 16). Unpack it with [`DecodedTrace::unpack`].
+///
+/// ```text
+/// bit  63..61  60   59    58..54       53..0
+///      kind    dep  aux   atomic code  payload
+/// ```
+///
+/// `kind` and `dep` are the wire tag's. `aux` is `predictable` on a
+/// branch; on a memory op it marks a payload that indexes the trace's
+/// side table of wide addresses instead of being the address itself.
+/// The payload holds a compute count or an address; addresses the
+/// framework emits stay below bit 46 (region bases sit at bits 44–45),
+/// so the side table is empty for every real capture — it exists so
+/// that decoding stays total over any `u64` address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpWord(u64);
+
+const WORD_KIND_SHIFT: u32 = 61;
+const WORD_DEP: u64 = 1 << 60;
+const WORD_AUX: u64 = 1 << 59;
+const WORD_CODE_SHIFT: u32 = 54;
+const WORD_PAYLOAD: u64 = (1 << WORD_CODE_SHIFT) - 1;
+
+impl OpWord {
+    fn new(kind: u8, dep: bool, aux: bool, payload: u64) -> OpWord {
+        OpWord(
+            (kind as u64) << WORD_KIND_SHIFT
+                | if dep { WORD_DEP } else { 0 }
+                | if aux { WORD_AUX } else { 0 }
+                | payload,
+        )
+    }
+
+    /// Packs `op`, spilling a wide address into `wide`.
+    #[inline]
+    fn pack(op: TraceOp, wide: &mut Vec<Addr>) -> OpWord {
+        let mut mem = |kind: u8, dep: bool, addr: Addr| {
+            if addr <= WORD_PAYLOAD {
+                OpWord::new(kind, dep, false, addr)
+            } else {
+                wide.push(addr);
+                OpWord::new(kind, dep, true, (wide.len() - 1) as u64)
+            }
+        };
+        match op {
+            TraceOp::Compute(n) => OpWord::new(KIND_COMPUTE, false, false, n as u64),
+            TraceOp::Load { addr, dep } => mem(KIND_LOAD, dep, addr),
+            TraceOp::Store { addr } => mem(KIND_STORE, false, addr),
+            TraceOp::Atomic { addr, op, dep } => {
+                OpWord(mem(KIND_ATOMIC, dep, addr).0 | (op.code() as u64) << WORD_CODE_SHIFT)
+            }
+            TraceOp::Branch { predictable, dep } => OpWord::new(KIND_BRANCH, dep, predictable, 0),
+        }
+    }
 }
 
 /// One thread's contiguous op range within a chunk frame (half-open
-/// indices into [`DecodedTrace::ops`]). Threads with no ops in a chunk
-/// have no span.
+/// indices into [`DecodedTrace::words`], and equally into the
+/// [`DecodedTrace::ops`] view). Threads with no ops in a chunk have no
+/// span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadSpan {
     /// Thread index (always below the trace's thread count).
@@ -589,7 +790,7 @@ enum DecodedFrame {
 /// One event of a decoded trace, borrowing the trace's buffers.
 #[derive(Debug, Clone, Copy)]
 pub enum DecodedEvent<'a> {
-    /// A chunk frame: per-thread op spans into [`DecodedTrace::ops`].
+    /// A chunk frame: per-thread op spans into [`DecodedTrace::words`].
     Chunk(&'a [ThreadSpan]),
     /// A global barrier.
     Barrier,
@@ -599,40 +800,47 @@ impl DecodedTrace {
     /// Decodes a complete encoded trace. The header, checksum, and every
     /// frame are validated here, so replaying the result cannot fail.
     pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, CodecError> {
-        let mut reader = TraceReader::new(bytes)?;
-        // The wire format runs ~3 bytes/op; reserving at that ratio keeps
-        // the flat buffer from reallocating much during decode.
-        let mut ops: Vec<TraceOp> = Vec::with_capacity(bytes.len() / 3);
+        Self::parse(TraceReader::new(bytes)?)
+    }
+
+    /// [`decode`](Self::decode) without the checksum pass, which
+    /// [`VerifiedBytes`] already made.
+    pub fn decode_verified(bytes: &VerifiedBytes) -> Result<DecodedTrace, CodecError> {
+        Self::parse(TraceReader::verified(bytes))
+    }
+
+    fn parse(mut reader: TraceReader<'_>) -> Result<DecodedTrace, CodecError> {
+        // The wire format runs ~3.5 bytes/op; reserving at 3 keeps the
+        // flat buffer from reallocating during decode, and the unused
+        // tail is returned below.
+        let mut words: Vec<OpWord> = Vec::with_capacity(reader.end / 3);
+        let mut wide = Vec::new();
         let mut spans = Vec::new();
         let mut frames = Vec::new();
         loop {
             match reader.byte()? {
                 FRAME_END => {
-                    if reader.pos != reader.end {
-                        return Err(CodecError::TrailingData);
-                    }
+                    reader.end_frame()?;
                     break;
                 }
                 FRAME_BARRIER => frames.push(DecodedFrame::Barrier),
                 FRAME_CHUNK => {
                     let spans_start = spans.len();
                     let populated = reader.varint()?;
+                    let mut floor = 0;
                     for _ in 0..populated {
-                        let t = reader.varint()?;
-                        if t >= reader.threads as u64 {
-                            return Err(CodecError::BadThread(t));
-                        }
-                        let t = t as usize;
-                        let count = reader.varint()?;
-                        let start = ops.len();
-                        ops.reserve(count.min(1 << 20) as usize);
+                        let (t, count) = reader.span_header(&mut floor)?;
+                        let start = words.len();
+                        let mut last = reader.last_addr[t];
+                        words.reserve(count.min(1 << 20) as usize);
                         for _ in 0..count {
-                            ops.push(reader.op(t)?);
+                            words.push(OpWord::pack(reader.op(&mut last)?, &mut wide));
                         }
+                        reader.last_addr[t] = last;
                         spans.push(ThreadSpan {
                             thread: t as u32,
                             start,
-                            end: ops.len(),
+                            end: words.len(),
                         });
                     }
                     frames.push(DecodedFrame::Chunk {
@@ -643,11 +851,16 @@ impl DecodedTrace {
                 other => return Err(CodecError::BadOpTag(other)),
             }
         }
+        words.shrink_to_fit();
+        spans.shrink_to_fit();
+        frames.shrink_to_fit();
         Ok(DecodedTrace {
             threads: reader.threads,
-            ops,
+            words,
+            wide,
             spans,
             frames,
+            view: OnceLock::new(),
         })
     }
 
@@ -656,9 +869,66 @@ impl DecodedTrace {
         self.threads
     }
 
-    /// The flat op buffer all spans index into.
+    /// The flat op-word buffer all spans index into. Replay reads this,
+    /// unpacking each word with [`unpack`](Self::unpack) as it goes.
+    pub fn words(&self) -> &[OpWord] {
+        &self.words
+    }
+
+    /// The op a word of this trace stands for.
+    #[inline(always)]
+    pub fn unpack(&self, word: OpWord) -> TraceOp {
+        let w = word.0;
+        let payload = w & WORD_PAYLOAD;
+        let dep = w & WORD_DEP != 0;
+        let aux = w & WORD_AUX != 0;
+        let addr = || {
+            if aux {
+                self.wide[payload as usize]
+            } else {
+                payload
+            }
+        };
+        match (w >> WORD_KIND_SHIFT) as u8 {
+            KIND_COMPUTE => TraceOp::Compute(payload as u32),
+            KIND_LOAD => TraceOp::Load { addr: addr(), dep },
+            KIND_STORE => TraceOp::Store { addr: addr() },
+            KIND_ATOMIC => TraceOp::Atomic {
+                addr: addr(),
+                op: HmcAtomicOp::ALL[(w >> WORD_CODE_SHIFT) as usize & 0x1f],
+                dep,
+            },
+            _ => TraceOp::Branch {
+                predictable: aux,
+                dep,
+            },
+        }
+    }
+
+    /// Every op, unpacked into one [`TraceOp`] buffer that spans index
+    /// like [`words`](Self::words).
+    ///
+    /// A view for harnesses that index ops directly: the first call
+    /// unpacks the whole trace and keeps the result, which doubles the
+    /// trace's footprint (16 more bytes per op). Replay never calls it.
     pub fn ops(&self) -> &[TraceOp] {
-        &self.ops
+        self.view
+            .get_or_init(|| self.words.iter().map(|&w| self.unpack(w)).collect())
+    }
+
+    /// Heap bytes this trace holds: the op words, the wide-address side
+    /// table, the span and frame indices, and the [`ops`](Self::ops)
+    /// view once something has asked for it.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.words.capacity() * size_of::<OpWord>()
+            + self.wide.capacity() * size_of::<Addr>()
+            + self.spans.capacity() * size_of::<ThreadSpan>()
+            + self.frames.capacity() * size_of::<DecodedFrame>()
+            + self
+                .view
+                .get()
+                .map_or(0, |v| v.capacity() * size_of::<TraceOp>())
     }
 
     /// Number of events (chunks + barriers) in the stream.
@@ -668,7 +938,7 @@ impl DecodedTrace {
 
     /// Total op count across all chunk frames.
     pub fn op_count(&self) -> usize {
-        self.ops.len()
+        self.words.len()
     }
 
     /// Iterates the event stream in emission order.
@@ -729,31 +999,103 @@ mod tests {
         assert_eq!(decoded, events);
     }
 
+    /// Rebuilds the event stream from a decoded trace twice — once by
+    /// unpacking its words, once through the [`DecodedTrace::ops`] view —
+    /// and checks both against [`decode`] of the same bytes.
+    fn assert_agrees_with_event_decode(bytes: &[u8]) {
+        let (threads, want) = decode(bytes).expect("decodes");
+        let decoded = DecodedTrace::decode(bytes).expect("decodes");
+        assert_eq!(decoded.threads(), threads);
+        assert_eq!(decoded.event_count(), want.len());
+        let rebuild = |op_at: &dyn Fn(usize) -> TraceOp| -> Vec<TraceEvent> {
+            decoded
+                .events()
+                .map(|event| match event {
+                    DecodedEvent::Barrier => TraceEvent::Barrier,
+                    DecodedEvent::Chunk(spans) => {
+                        let mut step = Superstep::new(threads);
+                        for span in spans {
+                            step.threads[span.thread as usize] =
+                                (span.start..span.end).map(op_at).collect();
+                        }
+                        TraceEvent::Chunk(step)
+                    }
+                })
+                .collect()
+        };
+        let words = decoded.words();
+        assert_eq!(rebuild(&|i| decoded.unpack(words[i])), want, "op words");
+        assert_eq!(rebuild(&|i| decoded.ops()[i]), want, "ops() view");
+        let total: usize = want
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Chunk(step) => step.threads.iter().map(Vec::len).sum(),
+                TraceEvent::Barrier => 0,
+            })
+            .sum();
+        assert_eq!(
+            decoded.op_count(),
+            total,
+            "every non-empty stream has a span"
+        );
+    }
+
     #[test]
     fn decoded_trace_agrees_with_event_decode() {
-        let events = sample_events(3);
-        let bytes = encode(3, &events);
-        let decoded = DecodedTrace::decode(&bytes).expect("decodes");
-        assert_eq!(decoded.threads(), 3);
-        assert_eq!(decoded.event_count(), events.len());
-        for (got, want) in decoded.events().zip(&events) {
-            match (got, want) {
-                (DecodedEvent::Barrier, TraceEvent::Barrier) => {}
-                (DecodedEvent::Chunk(spans), TraceEvent::Chunk(step)) => {
-                    for span in spans {
-                        assert_eq!(
-                            &decoded.ops()[span.start..span.end],
-                            &step.threads[span.thread as usize][..]
-                        );
-                    }
-                    let spanned: usize = spans.iter().map(|s| s.end - s.start).sum();
-                    let total: usize = step.threads.iter().map(|t| t.len()).sum();
-                    assert_eq!(spanned, total, "every non-empty stream has a span");
-                }
-                other => panic!("event kind mismatch: {other:?}"),
-            }
+        let bytes = encode(3, &sample_events(3));
+        assert_agrees_with_event_decode(&bytes);
+        assert_eq!(DecodedTrace::decode(&bytes).unwrap().op_count(), 6);
+    }
+
+    #[test]
+    fn op_words_are_eight_bytes_and_wide_addresses_round_trip() {
+        assert_eq!(std::mem::size_of::<OpWord>(), 8);
+        let mut step = Superstep::new(1);
+        for addr in [WORD_PAYLOAD, WORD_PAYLOAD + 1, u64::MAX, 1 << 63] {
+            step.threads[0].push(TraceOp::Store { addr });
+            step.threads[0].push(TraceOp::Load { addr, dep: true });
         }
-        assert_eq!(decoded.op_count(), 6);
+        step.threads[0].push(TraceOp::Compute(u32::MAX));
+        let bytes = encode(1, &[TraceEvent::Chunk(step)]);
+        let decoded = DecodedTrace::decode(&bytes).unwrap();
+        assert_eq!(
+            decoded.wide.len(),
+            6,
+            "three addresses of four spill, twice"
+        );
+        assert_agrees_with_event_decode(&bytes);
+    }
+
+    #[test]
+    fn resident_bytes_count_words_and_the_ops_view() {
+        let bytes = encode(3, &sample_events(3));
+        let decoded = DecodedTrace::decode(&bytes).unwrap();
+        let packed = decoded.resident_bytes();
+        assert!(packed >= 6 * std::mem::size_of::<OpWord>());
+        decoded.ops();
+        assert_eq!(
+            decoded.resident_bytes(),
+            packed + 6 * std::mem::size_of::<TraceOp>()
+        );
+    }
+
+    #[test]
+    fn verified_bytes_skip_nothing_but_the_checksum() {
+        let bytes = encode(3, &sample_events(3));
+        let verified = VerifiedBytes::new(bytes.clone()).expect("valid");
+        assert_eq!(verified, bytes);
+        let via_verified = DecodedTrace::decode_verified(&verified).unwrap();
+        assert_eq!(
+            via_verified.ops(),
+            DecodedTrace::decode(&bytes).unwrap().ops()
+        );
+        let mut bad = bytes;
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x40;
+        assert_eq!(
+            VerifiedBytes::new(bad).unwrap_err(),
+            CodecError::BadChecksum
+        );
     }
 
     #[test]
@@ -765,6 +1107,37 @@ mod tests {
             assert!(
                 DecodedTrace::decode(&bad).is_err(),
                 "flipping byte {i} must fail decode"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_or_descending_threads_in_a_chunk_are_rejected() {
+        // Hand-built chunk frames over 3 threads: (thread, one Compute(1))
+        // per span, resealed so the frame parser meets them.
+        let chunk = |threads: &[u8]| {
+            let mut bytes = encode(3, &[]);
+            let end = bytes.len() - 9;
+            let mut frame = vec![FRAME_CHUNK, threads.len() as u8];
+            for &t in threads {
+                frame.extend_from_slice(&[t, 1, KIND_COMPUTE, 1]);
+            }
+            bytes.splice(end..end, frame);
+            let sum = fnv1a(&bytes[..bytes.len() - 8]).to_le_bytes();
+            let n = bytes.len();
+            bytes[n - 8..].copy_from_slice(&sum);
+            bytes
+        };
+        assert!(DecodedTrace::decode(&chunk(&[0, 2])).is_ok());
+        for bad in [&[1u8, 1][..], &[2, 0]] {
+            let bytes = chunk(bad);
+            assert_eq!(
+                decode(&bytes).unwrap_err(),
+                CodecError::BadThread(bad[1] as u64)
+            );
+            assert_eq!(
+                DecodedTrace::decode(&bytes).unwrap_err(),
+                CodecError::BadThread(bad[1] as u64)
             );
         }
     }
@@ -914,18 +1287,35 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Addresses from every band the op word distinguishes: the
+        /// framework's regions (below bit 46), both sides of the 54-bit
+        /// payload limit, and arbitrary `u64`s (almost all of them wide).
+        fn addr_strategy() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..1 << 46,
+                (WORD_PAYLOAD - 8)..(WORD_PAYLOAD + 8),
+                any::<u64>(),
+                Just(u64::MAX),
+            ]
+        }
+
         fn op_strategy() -> impl Strategy<Value = TraceOp> {
             prop_oneof![
                 (0u32..100_000).prop_map(TraceOp::Compute),
-                (any::<u64>(), any::<bool>()).prop_map(|(addr, dep)| TraceOp::Load { addr, dep }),
-                any::<u64>().prop_map(|addr| TraceOp::Store { addr }),
-                (any::<u64>(), 0usize..HmcAtomicOp::ALL.len(), any::<bool>()).prop_map(
-                    |(addr, code, dep)| TraceOp::Atomic {
+                prop_oneof![any::<u32>(), Just(u32::MAX)].prop_map(TraceOp::Compute),
+                (addr_strategy(), any::<bool>())
+                    .prop_map(|(addr, dep)| TraceOp::Load { addr, dep }),
+                addr_strategy().prop_map(|addr| TraceOp::Store { addr }),
+                (
+                    addr_strategy(),
+                    0usize..HmcAtomicOp::ALL.len(),
+                    any::<bool>()
+                )
+                    .prop_map(|(addr, code, dep)| TraceOp::Atomic {
                         addr,
                         op: HmcAtomicOp::ALL[code],
                         dep,
-                    }
-                ),
+                    }),
                 (any::<bool>(), any::<bool>())
                     .prop_map(|(predictable, dep)| TraceOp::Branch { predictable, dep }),
             ]
@@ -966,6 +1356,51 @@ mod tests {
                 let (threads, decoded) = decode(&bytes).expect("round trip");
                 prop_assert_eq!(threads, 4);
                 prop_assert_eq!(decoded, events);
+            }
+
+            #[test]
+            fn decoded_trace_agrees_on_arbitrary_streams(
+                threads in 1usize..6,
+                events in events_strategy(5),
+            ) {
+                // Fold the five generated streams onto `threads` threads,
+                // so thread counts vary along with everything else.
+                let events: Vec<TraceEvent> = events
+                    .into_iter()
+                    .map(|event| match event {
+                        TraceEvent::Chunk(step) => {
+                            let mut folded = Superstep::new(threads);
+                            for (t, ops) in step.threads.into_iter().enumerate() {
+                                folded.threads[t % threads].extend(ops);
+                            }
+                            TraceEvent::Chunk(folded)
+                        }
+                        TraceEvent::Barrier => TraceEvent::Barrier,
+                    })
+                    .collect();
+                assert_agrees_with_event_decode(&encode(threads, &events));
+            }
+
+            #[test]
+            fn resealed_mutations_decode_alike(
+                events in events_strategy(3),
+                flips in prop::collection::vec((any::<u64>(), 1u8..255), 1..4),
+            ) {
+                // Any stream the reader accepts, not just encoder output:
+                // flip payload bytes, then reseal the checksum so the
+                // frame parser (not the footer) meets the damage.
+                let mut bytes = encode(3, &events);
+                let end = bytes.len() - 8;
+                for (at, mask) in flips {
+                    bytes[7 + (at as usize) % (end - 7)] ^= mask;
+                }
+                let sum = fnv1a(&bytes[..end]).to_le_bytes();
+                bytes[end..].copy_from_slice(&sum);
+                match (decode(&bytes), DecodedTrace::decode(&bytes)) {
+                    (Ok(_), Ok(_)) => assert_agrees_with_event_decode(&bytes),
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    (a, b) => panic!("decoders disagree: {:?} vs {:?}", a.map(|_| ()), b.map(|_| ())),
+                }
             }
 
             #[test]
