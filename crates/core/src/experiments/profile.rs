@@ -57,7 +57,9 @@ pub struct PrewarmRecord {
     pub threads: usize,
     /// End-to-end wall seconds of the fan-out.
     pub wall_seconds: f64,
-    /// Summed per-run busy seconds across all workers.
+    /// Seconds spent running jobs (cache lookups, trace loads, runs),
+    /// summed across workers. A worker waiting for a load to land is
+    /// idle, not busy.
     pub busy_seconds: f64,
 }
 
@@ -95,10 +97,12 @@ pub struct TraceStoreCounts {
     pub captures: usize,
     /// Wall seconds spent in those captures.
     pub capture_seconds: f64,
-    /// Wall seconds spent decoding loaded traces into their resident
-    /// replay form (streaming replay decodes per run and adds nothing).
+    /// Wall seconds spent loading stored traces into their resident
+    /// replay form: one pass that reads, checksums and decodes each
+    /// entry (streaming replay decodes per run and adds nothing).
     pub decode_seconds: f64,
-    /// Heap bytes of those decoded traces
+    /// Heap bytes of the traces resident in replay form, loaded or
+    /// captured
     /// ([`DecodedTrace::resident_bytes`](graphpim_sim::trace::codec::DecodedTrace::resident_bytes)).
     pub decoded_bytes: usize,
     /// Trace-store lookups satisfied from disk.
@@ -156,9 +160,14 @@ impl EngineProfile {
         self.trace.capture_seconds += seconds;
     }
 
-    /// Counts one trace decoded into its resident replay form.
+    /// Counts one stored trace loaded into its resident replay form.
     pub fn note_trace_decode(&mut self, seconds: f64, resident_bytes: usize) {
         self.trace.decode_seconds += seconds;
+        self.note_trace_resident(resident_bytes);
+    }
+
+    /// Counts the heap bytes of a trace held in replay form.
+    pub fn note_trace_resident(&mut self, resident_bytes: usize) {
         self.trace.decoded_bytes += resident_bytes;
     }
 
@@ -434,6 +443,55 @@ mod tests {
             busy_seconds: 5.0,
         };
         assert_eq!(q.utilization(), 1.0);
+    }
+
+    #[test]
+    fn busy_time_excludes_waiting_for_a_load() {
+        use std::time::{Duration, Instant};
+        // Two workers, one load and one run that needs it: the second
+        // worker has nothing to do until the load lands. Busy time is the
+        // two jobs' own durations; counting the wait would add the load's
+        // duration again.
+        let spent = std::sync::Mutex::new(Vec::new());
+        let job = |ms: &u64| {
+            let start = Instant::now();
+            std::thread::sleep(Duration::from_millis(*ms));
+            spent
+                .lock()
+                .unwrap()
+                .push((start, start.elapsed().as_secs_f64()));
+        };
+        let wall = Instant::now();
+        let busy = super::super::jobs::execute(
+            2,
+            &[300u64],
+            &[(Some(0), 20u64)],
+            |ms| {
+                job(ms);
+                1
+            },
+            job,
+        );
+        let record = PrewarmRecord {
+            keys: 1,
+            threads: 2,
+            wall_seconds: wall.elapsed().as_secs_f64(),
+            busy_seconds: busy,
+        };
+        let spent = spent.into_inner().unwrap();
+        let (load, run) = (spent[0], spent[1]);
+        assert!(
+            run.0 >= load.0 + Duration::from_secs_f64(load.1),
+            "run waited for its load"
+        );
+        assert!(
+            (record.busy_seconds - (load.1 + run.1)).abs() < 0.05,
+            "busy {} s, jobs {} s + {} s",
+            record.busy_seconds,
+            load.1,
+            run.1
+        );
+        assert!(record.utilization() < 0.75, "{record:?}");
     }
 
     #[test]

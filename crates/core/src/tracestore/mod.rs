@@ -27,10 +27,14 @@
 //!   (every run executes its kernel live, as before this subsystem).
 
 use graphpim_graph::CsrGraph;
-use graphpim_sim::trace::codec::VerifiedBytes;
-use graphpim_workloads::framework::{EncodeTrace, Framework, StreamTrace};
+use graphpim_sim::trace::codec::{
+    CodecError, DecodedTrace, DecodedTraceBuilder, ReadError, VerifiedBytes,
+};
+use graphpim_sim::trace::Superstep;
+use graphpim_workloads::framework::{EncodeTrace, Framework, StreamTrace, TraceConsumer};
 use graphpim_workloads::kernels::Kernel;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,6 +91,22 @@ pub enum TraceLookup {
     /// The caller should recapture; the bad file has been evicted
     /// (best-effort, and without clobbering any concurrent
     /// re-publication — see [`TraceStore::lookup`]).
+    Corrupt,
+    /// Never captured.
+    Miss,
+}
+
+/// Result of a [`TraceStore::load`]: a [`TraceLookup`] whose hit is
+/// already in replay form.
+#[derive(Debug)]
+pub enum TraceLoad {
+    /// A checksum-valid entry, decoded.
+    Hit(DecodedTrace),
+    /// The entry's checksum holds but a frame does not parse: not damage
+    /// (the footer vouches for the bytes) but an encoder bug or a
+    /// deliberately resealed file. It stays on disk; the caller runs live.
+    Invalid(CodecError),
+    /// As [`TraceLookup::Corrupt`]: rejected and evicted.
     Corrupt,
     /// Never captured.
     Miss,
@@ -151,37 +171,64 @@ impl TraceStore {
         }
     }
 
+    /// [`lookup`](Self::lookup) straight into replay form: the entry
+    /// streams from its file through one pass that checksums and decodes
+    /// it ([`DecodedTrace::read`]), so its encoded bytes are never
+    /// resident. The trace is returned only once the footer matches; a
+    /// mismatch goes through the same quarantine eviction as `lookup`.
+    pub fn load(&self, key: &WorkloadKey, fingerprint: u64) -> TraceLoad {
+        let path = self.path(key, fingerprint);
+        match read_entry(&path) {
+            TraceLoad::Corrupt => self
+                .quarantine(&path, |p| match read_entry(p) {
+                    TraceLoad::Corrupt | TraceLoad::Miss => None,
+                    sound => Some(sound),
+                })
+                .unwrap_or(TraceLoad::Corrupt),
+            found => found,
+        }
+    }
+
     /// Evicts the entry at `path` after a failed validation, without
-    /// destroying a concurrently re-published good entry.
+    /// destroying a concurrently re-published good entry (see
+    /// [`quarantine`](Self::quarantine)).
+    fn evict_corrupt(&self, path: &Path) -> TraceLookup {
+        self.quarantine(path, |p| {
+            std::fs::read(p)
+                .ok()
+                .and_then(|bytes| VerifiedBytes::new(bytes).ok())
+        })
+        .map_or(TraceLookup::Corrupt, TraceLookup::Hit)
+    }
+
+    /// Takes the entry at `path` off the shelf after a failed validation.
     ///
     /// The suspect file is renamed (atomically) to a unique quarantine
-    /// name and re-validated *after* the rename — the rename, not the
-    /// earlier read, decides which bytes we actually took off the
-    /// shelf. Three outcomes:
+    /// name and re-validated by `revalidate` *after* the rename — the
+    /// rename, not the earlier read, decides which bytes we actually took
+    /// off the shelf. Three outcomes:
     ///
-    /// * Quarantined bytes are invalid: the corrupt file is gone from
-    ///   the store; delete the quarantine file and report `Corrupt`.
+    /// * Quarantined bytes are invalid (`None`): the corrupt file is gone
+    ///   from the store; delete the quarantine file and return `None`.
     /// * Quarantined bytes are **valid**: a writer re-published between
     ///   our read and our rename, and we grabbed the good entry. Rename
-    ///   it back and serve it as a `Hit`. (Captures are deterministic
-    ///   per fingerprint, so if yet another publication landed
-    ///   meanwhile, clobbering it restores identical bytes.)
+    ///   it back and return it. (Captures are deterministic per
+    ///   fingerprint, so if yet another publication landed meanwhile,
+    ///   clobbering it restores identical bytes.)
     /// * The rename itself fails: another reader evicted first, or the
-    ///   entry vanished; nothing to clean up, report `Corrupt` and let
-    ///   the caller recapture.
-    fn evict_corrupt(&self, path: &Path) -> TraceLookup {
+    ///   entry vanished; nothing to clean up, return `None` and let the
+    ///   caller recapture.
+    fn quarantine<T>(&self, path: &Path, revalidate: impl FnOnce(&Path) -> Option<T>) -> Option<T> {
         let quarantine = self.tmp_path();
-        if std::fs::rename(path, &quarantine).is_err() {
-            return TraceLookup::Corrupt;
-        }
-        match std::fs::read(&quarantine).map(VerifiedBytes::new) {
-            Ok(Ok(verified)) => {
+        std::fs::rename(path, &quarantine).ok()?;
+        match revalidate(&quarantine) {
+            Some(valid) => {
                 let _ = std::fs::rename(&quarantine, path);
-                TraceLookup::Hit(verified)
+                Some(valid)
             }
-            _ => {
+            None => {
                 let _ = std::fs::remove_file(&quarantine);
-                TraceLookup::Corrupt
+                None
             }
         }
     }
@@ -253,30 +300,74 @@ impl TraceStore {
         threads: usize,
         make_kernel: &mut dyn FnMut() -> Box<dyn Kernel>,
     ) -> std::io::Result<Vec<u8>> {
-        std::fs::create_dir_all(&self.dir)?;
         let tmp = self.tmp_path();
-        let write = (|| -> std::io::Result<()> {
-            let file = std::fs::File::create(&tmp)?;
-            let mut stream = StreamTrace::new(threads, std::io::BufWriter::new(file))?;
-            {
-                let mut fw = Framework::new(threads, &mut stream);
-                make_kernel().run(graph, &mut fw);
-                fw.finish();
-            }
-            let writer = stream.finish()?;
-            let mut file = writer.into_inner().map_err(|e| e.into_error())?;
-            file.flush()
-        })();
-        if let Err(e) = write {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
+        let mut stream = self.create_entry(&tmp, threads)?;
+        {
+            let mut fw = Framework::new(threads, &mut stream);
+            make_kernel().run(graph, &mut fw);
+            fw.finish();
         }
         let path = self.path(key, fingerprint);
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
+        self.publish(stream, &tmp, &path)?;
         std::fs::read(&path)
+    }
+
+    /// Captures `key`'s workload straight into replay form while
+    /// publishing its entry: every frame the framework emits is written
+    /// to the store's temp file (renamed into place at the end) and
+    /// packed into op words by a [`DecodedTraceBuilder`]. No encoded copy
+    /// is held and no decode pass runs; the result equals decoding the
+    /// published entry.
+    ///
+    /// A store failure warns once and leaves the capture intact: the
+    /// kernel never runs twice, the entry just is not persisted.
+    pub fn capture_decoded(
+        &self,
+        key: &WorkloadKey,
+        fingerprint: u64,
+        graph: &CsrGraph,
+        threads: usize,
+        kernel: &mut dyn Kernel,
+    ) -> DecodedTrace {
+        let tmp = self.tmp_path();
+        let mut tee = Tee {
+            entry: self
+                .create_entry(&tmp, threads)
+                .map_err(|e| warn_once(&self.dir, "stream a capture to disk", &e))
+                .ok(),
+            words: DecodedTraceBuilder::new(threads),
+        };
+        {
+            let mut fw = Framework::new(threads, &mut tee);
+            kernel.run(graph, &mut fw);
+            fw.finish();
+        }
+        if let Some(entry) = tee.entry {
+            if let Err(e) = self.publish(entry, &tmp, &self.path(key, fingerprint)) {
+                warn_once(&self.dir, "stream a capture to disk", &e);
+            }
+        }
+        tee.words.finish()
+    }
+
+    /// Opens a new entry at temp path `tmp`, header written.
+    fn create_entry(&self, tmp: &Path, threads: usize) -> std::io::Result<EntryStream> {
+        std::fs::create_dir_all(&self.dir)?;
+        StreamTrace::new(threads, BufWriter::new(File::create(tmp)?))
+    }
+
+    /// Seals the entry streamed to `tmp` and renames it to `path`; on any
+    /// failure the temp file is removed and nothing is published.
+    fn publish(&self, stream: EntryStream, tmp: &Path, path: &Path) -> std::io::Result<()> {
+        let sealed = (|| {
+            let mut file = stream.finish()?.into_inner().map_err(|e| e.into_error())?;
+            file.flush()?;
+            std::fs::rename(tmp, path)
+        })();
+        if sealed.is_err() {
+            let _ = std::fs::remove_file(tmp);
+        }
+        sealed
     }
 
     fn tmp_path(&self) -> PathBuf {
@@ -291,6 +382,48 @@ impl TraceStore {
     fn path(&self, key: &WorkloadKey, fingerprint: u64) -> PathBuf {
         self.dir
             .join(format!("{}-{fingerprint:016x}.trace", key.file_stem()))
+    }
+}
+
+/// An entry being streamed to its temp file.
+type EntryStream = StreamTrace<BufWriter<File>>;
+
+/// Reads the entry at `path` into replay form, classifying what it holds.
+/// An unreadable or vanished file counts as a miss.
+fn read_entry(path: &Path) -> TraceLoad {
+    let read = File::open(path).and_then(|file| {
+        let len = file.metadata()?.len();
+        Ok(DecodedTrace::read(file, len))
+    });
+    match read {
+        Err(_) | Ok(Err(ReadError::Io(_))) => TraceLoad::Miss,
+        Ok(Err(ReadError::Corrupt(_))) => TraceLoad::Corrupt,
+        Ok(Err(ReadError::Invalid(e))) => TraceLoad::Invalid(e),
+        Ok(Ok(trace)) => TraceLoad::Hit(trace),
+    }
+}
+
+/// The capture consumer of [`TraceStore::capture_decoded`]: each frame
+/// goes to the entry file (if it could be created; a write error is
+/// latched and surfaces at publication) and into op words.
+struct Tee {
+    entry: Option<EntryStream>,
+    words: DecodedTraceBuilder,
+}
+
+impl TraceConsumer for Tee {
+    fn chunk(&mut self, step: Superstep) {
+        self.words.chunk(&step);
+        if let Some(entry) = &mut self.entry {
+            entry.chunk(step);
+        }
+    }
+
+    fn barrier(&mut self) {
+        self.words.barrier();
+        if let Some(entry) = &mut self.entry {
+            entry.barrier();
+        }
     }
 }
 
@@ -370,6 +503,62 @@ mod tests {
             TraceLookup::Hit(loaded) => assert_eq!(loaded, buffered),
             other => panic!("expected hit, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn decoded_capture_survives_an_unwritable_store() {
+        // A regular file where the store directory should be: nothing
+        // can be created under it.
+        let blocker = tmp_store("blocker").dir().to_path_buf();
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let store = TraceStore::at(blocker.join("store"));
+        let graph = GraphSpec::uniform(200, 800).seed(3).build();
+        let trace = store.capture_decoded(&key(), 5, &graph, 2, &mut Bfs::new(0));
+        let want = DecodedTrace::decode(&sample_trace()).unwrap();
+        assert_eq!(trace.words(), want.words(), "the capture is whole");
+        assert_eq!(trace.event_count(), want.event_count());
+        assert!(matches!(store.load(&key(), 5), TraceLoad::Miss));
+        let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn load_classifies_entries_like_lookup() {
+        let store = tmp_store("load");
+        let bytes = sample_trace();
+        assert!(matches!(store.load(&key(), 3), TraceLoad::Miss));
+        store.store(&key(), 3, &bytes);
+        match store.load(&key(), 3) {
+            TraceLoad::Hit(trace) => {
+                assert_eq!(trace.words(), DecodedTrace::decode(&bytes).unwrap().words())
+            }
+            other => panic!("expected hit, got {other:?}"),
+        }
+        // Damage is evicted; a resealed frame error is kept and reported.
+        let path = store.path(&key(), 3);
+        let mut bad = bytes.clone();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(store.load(&key(), 3), TraceLoad::Corrupt));
+        assert!(!path.exists(), "a corrupt entry is evicted");
+        let mut resealed = bytes.clone();
+        let end = resealed.len() - 8;
+        resealed[end - 1] = 0x7F;
+        let sum = {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for &b in &resealed[..end] {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        };
+        resealed[end..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &resealed).unwrap();
+        assert!(matches!(
+            store.load(&key(), 3),
+            TraceLoad::Invalid(codec::CodecError::BadOpTag(0x7F))
+        ));
+        assert!(path.exists(), "a checksum-valid entry is not evicted");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
