@@ -1,8 +1,9 @@
 //! Hot-loop microbenchmarks: per-op cost of the decoded-trace replay
 //! path, and the one-time decode cost it amortizes.
 //!
-//! `decode` measures `DecodedTrace::decode` (varint frames -> flat op
-//! buffer, done once per workload by the engine); `replay/<kernel>`
+//! `decode` measures `DecodedTrace::decode` (checksum, then op words
+//! copied into one flat buffer, done once per workload by the engine);
+//! `replay/<kernel>`
 //! measures `SystemSim::run_decoded` over the pre-decoded buffer — the
 //! loop every figure sweep spends its time in. Throughput is reported
 //! in trace ops so regressions show up as ns/op, independent of trace

@@ -394,7 +394,7 @@ pub mod json {
         Array(Vec<Value>),
         /// Number, as its raw source token.
         Num(String),
-        /// String (no escape support beyond `\"` and `\\`).
+        /// String, with every RFC 8259 escape resolved.
         Str(String),
         /// `true` / `false`.
         Bool(bool),
@@ -553,6 +553,33 @@ pub mod json {
         }
     }
 
+    /// Escapes `s` for use inside a JSON string literal (RFC 8259): `"`,
+    /// `\` and the control characters U+0000–U+001F, and nothing else,
+    /// so plain ASCII labels come back unchanged (and unallocated).
+    pub fn escape(s: &str) -> std::borrow::Cow<'_, str> {
+        use std::fmt::Write as _;
+        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            return s.into();
+        }
+        let mut out = String::with_capacity(s.len() + 8);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.into()
+    }
+
     fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
         if bytes.get(*pos) != Some(&b'"') {
             return None;
@@ -560,25 +587,76 @@ pub mod json {
         *pos += 1;
         let mut out = String::new();
         loop {
-            match bytes.get(*pos)? {
+            // Copy the run up to the next quote, backslash or control
+            // byte whole: it is UTF-8 (the input is a `str`, and the run
+            // ends at an ASCII byte), so multi-byte characters survive.
+            let run = bytes[*pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+            out.push_str(std::str::from_utf8(&bytes[*pos..*pos + run]).ok()?);
+            *pos += run;
+            match bytes[*pos] {
                 b'"' => {
                     *pos += 1;
                     return Some(out);
                 }
                 b'\\' => {
                     *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
+                    let c = match bytes.get(*pos)? {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            *pos += 1;
+                            let c = parse_unicode_escape(bytes, pos)?;
+                            out.push(c);
+                            continue;
+                        }
                         _ => return None,
-                    }
+                    };
+                    out.push(c);
                     *pos += 1;
                 }
-                &b => {
-                    out.push(b as char);
-                    *pos += 1;
-                }
+                // A raw control character: JSON requires it escaped.
+                _ => return None,
             }
+        }
+    }
+
+    /// The character of a `\u` escape whose four hex digits start at
+    /// `pos`, joining a surrogate pair written as two escapes; a lone
+    /// surrogate is an error.
+    fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Option<char> {
+        let hex4 = |pos: &mut usize| {
+            let digits = std::str::from_utf8(bytes.get(*pos..*pos + 4)?).ok()?;
+            let unit = u32::from_str_radix(digits, 16).ok()?;
+            // `from_str_radix` takes a sign; JSON does not.
+            digits
+                .bytes()
+                .all(|b| b.is_ascii_hexdigit())
+                .then_some(())?;
+            *pos += 4;
+            Some(unit)
+        };
+        let unit = hex4(pos)?;
+        match unit {
+            0xD800..=0xDBFF => {
+                if bytes.get(*pos..*pos + 2)? != b"\\u" {
+                    return None;
+                }
+                *pos += 2;
+                let low = hex4(pos)?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return None;
+                }
+                char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
+            }
+            _ => char::from_u32(unit),
         }
     }
 
@@ -752,5 +830,58 @@ mod tests {
             fingerprint(&["x", "y"]),
             crate::fingerprint::fingerprint(&["x", "y"])
         );
+    }
+
+    #[test]
+    fn json_strings_round_trip_through_the_shared_escaper() {
+        let names = [
+            "fig07",
+            "a\nb\tc\"d\\e",
+            "caf\u{e9} \u{1F600}",
+            "\u{0}\u{1}\u{8}\u{c}\r\u{1f} \u{7f}",
+        ];
+        for name in names {
+            let doc = format!("{{\"name\": \"{}\"}}", json::escape(name));
+            assert!(
+                doc.bytes().all(|b| b >= 0x20),
+                "no raw control bytes: {doc:?}"
+            );
+            let parsed = json::parse(&doc).unwrap_or_else(|| panic!("must parse: {doc:?}"));
+            let got = parsed.as_object().unwrap().get("name").unwrap().as_str();
+            assert_eq!(got, Some(name));
+        }
+        assert!(
+            matches!(
+                json::escape("LDBC-1k"),
+                std::borrow::Cow::Borrowed("LDBC-1k")
+            ),
+            "plain labels pass through untouched"
+        );
+    }
+
+    #[test]
+    fn json_parser_resolves_standard_escapes_and_rejects_raw_controls() {
+        let parse = |text: &str| json::parse(text).and_then(|v| v.as_str().map(str::to_string));
+        assert_eq!(
+            parse(r#""\n\r\t\b\f\/\"\\""#).as_deref(),
+            Some("\n\r\t\u{8}\u{c}/\"\\")
+        );
+        assert_eq!(parse(r#""\u00e9\u00E9""#).as_deref(), Some("\u{e9}\u{e9}"));
+        assert_eq!(parse(r#""\ud83d\ude00""#).as_deref(), Some("\u{1F600}"));
+        assert_eq!(parse("\"caf\u{e9}\"").as_deref(), Some("caf\u{e9}"));
+        for bad in [
+            "\"a\nb\"",
+            "\"a\tb\"",
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\x""#,
+            "\"unterminated",
+        ] {
+            assert_eq!(parse(bad), None, "{bad:?} must be rejected");
+        }
     }
 }

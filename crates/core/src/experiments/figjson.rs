@@ -14,6 +14,7 @@
 //! sweep with its own driver, not a run-key figure over the shared
 //! [`Experiments`] context.
 
+use super::cache::json::escape;
 use super::{
     fig01, fig02, fig04, fig07, fig09, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
     Experiments, RunKey,
@@ -231,12 +232,6 @@ fn floats(values: &[f64]) -> String {
         .map(|v| format!("{v:?}"))
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-/// Escapes the two characters the cache's JSON reader understands
-/// (`"` and `\`); workload and mode labels are plain ASCII anyway.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

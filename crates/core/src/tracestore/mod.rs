@@ -172,10 +172,11 @@ impl TraceStore {
     }
 
     /// [`lookup`](Self::lookup) straight into replay form: the entry
-    /// streams from its file through one pass that checksums and decodes
-    /// it ([`DecodedTrace::read`]), so its encoded bytes are never
-    /// resident. The trace is returned only once the footer matches; a
-    /// mismatch goes through the same quarantine eviction as `lookup`.
+    /// streams from its file through one pass that checksums it and
+    /// copies its op words ([`DecodedTrace::read`]), so no second copy
+    /// of it is ever resident. The trace is returned only once the footer
+    /// matches; a mismatch goes through the same quarantine eviction as
+    /// `lookup`.
     pub fn load(&self, key: &WorkloadKey, fingerprint: u64) -> TraceLoad {
         let path = self.path(key, fingerprint);
         match read_entry(&path) {
@@ -313,11 +314,11 @@ impl TraceStore {
     }
 
     /// Captures `key`'s workload straight into replay form while
-    /// publishing its entry: every frame the framework emits is written
-    /// to the store's temp file (renamed into place at the end) and
-    /// packed into op words by a [`DecodedTraceBuilder`]. No encoded copy
-    /// is held and no decode pass runs; the result equals decoding the
-    /// published entry.
+    /// publishing its entry: every frame the framework emits is packed
+    /// into op words by a [`DecodedTraceBuilder`], and those same words
+    /// are written to the store's temp file (renamed into place at the
+    /// end). Each op is packed once and no decode pass runs; the result
+    /// equals loading the published entry.
     ///
     /// A store failure warns once and leaves the capture intact: the
     /// kernel never runs twice, the entry just is not persisted.
@@ -404,8 +405,9 @@ fn read_entry(path: &Path) -> TraceLoad {
 }
 
 /// The capture consumer of [`TraceStore::capture_decoded`]: each frame
-/// goes to the entry file (if it could be created; a write error is
-/// latched and surfaces at publication) and into op words.
+/// is packed into op words once, and those same words go to the entry
+/// file (if it could be created; a write error is latched and surfaces
+/// at publication).
 struct Tee {
     entry: Option<EntryStream>,
     words: DecodedTraceBuilder,
@@ -413,9 +415,9 @@ struct Tee {
 
 impl TraceConsumer for Tee {
     fn chunk(&mut self, step: Superstep) {
-        self.words.chunk(&step);
+        let packed = self.words.chunk(&step);
         if let Some(entry) = &mut self.entry {
-            entry.chunk(step);
+            entry.packed_chunk(packed);
         }
     }
 
@@ -545,13 +547,7 @@ mod tests {
         let mut resealed = bytes.clone();
         let end = resealed.len() - 8;
         resealed[end - 1] = 0x7F;
-        let sum = {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in &resealed[..end] {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
+        let sum = codec::checksum(&resealed[..end]);
         resealed[end..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &resealed).unwrap();
         assert!(matches!(

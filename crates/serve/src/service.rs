@@ -79,9 +79,11 @@ impl Default for ServeConfig {
 
 /// The API's uniform error document.
 pub fn error_json(id: &str, message: &str) -> String {
+    use graphpim::experiments::cache::json::escape;
     format!(
-        "{{\"error\": {{\"id\": \"{id}\", \"message\": \"{}\"}}}}",
-        message.replace('\\', "\\\\").replace('"', "\\\"")
+        "{{\"error\": {{\"id\": \"{}\", \"message\": \"{}\"}}}}",
+        escape(id),
+        escape(message)
     )
 }
 

@@ -98,6 +98,41 @@ fn boot_health_stats_and_typed_errors() {
     handle.shutdown();
 }
 
+/// An unknown figure's 404 is valid JSON that echoes the requested name
+/// exactly, whatever characters it holds: control characters, quotes and
+/// non-ASCII text alike. The path form cannot carry a line feed (it ends
+/// the request line), so only the JSON body form sends one.
+#[test]
+fn unknown_figure_errors_echo_any_name() {
+    let (handle, addr, _ctx) = boot(AdmissionPolicy::default());
+    let message = |doc: &json::Value| {
+        doc.as_object()
+            .and_then(|o| o.get("error")?.as_object()?.get("message")?.as_str())
+            .map(str::to_string)
+    };
+
+    let name = "a\tb\"caf\u{e9}";
+    let (status, doc) = get_json(&addr, &format!("/figures/{name}"));
+    assert_eq!((status, error_id(&doc).as_str()), (404, "unknown_figure"));
+    assert_eq!(
+        message(&doc),
+        Some(format!("{name} is not a served figure"))
+    );
+
+    let name = "a\nb\tc\"caf\u{e9}";
+    let body = format!("{{\"fig\": \"{}\"}}", json::escape(name));
+    let (status, body) = client::post(&addr, "/sweeps", &body).expect("request");
+    let text = String::from_utf8(body).expect("UTF-8 body");
+    let doc = json::parse(&text).unwrap_or_else(|| panic!("must answer JSON: {text:?}"));
+    assert_eq!((status, error_id(&doc).as_str()), (404, "unknown_figure"));
+    assert_eq!(
+        message(&doc),
+        Some(format!("{name} is not a served figure"))
+    );
+
+    handle.shutdown();
+}
+
 /// The storm test: many clients sweep the *same* two keys at once. The
 /// engine's per-key memo must collapse all of that to exactly two
 /// simulations (the capture-once invariant, observed through `/stats`),
