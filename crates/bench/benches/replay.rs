@@ -11,6 +11,7 @@ use graphpim::config::{PimMode, SystemConfig};
 use graphpim::system::SystemSim;
 use graphpim::tracestore::capture_kernel;
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
+use graphpim_sim::trace::codec::DecodedTrace;
 use graphpim_workloads::kernels::Bfs;
 
 fn bench_live_vs_replay(c: &mut Criterion) {
@@ -27,7 +28,8 @@ fn bench_live_vs_replay(c: &mut Criterion) {
     });
     group.bench_function("replay", |b| {
         b.iter(|| {
-            criterion::black_box(SystemSim::run_replayed(&trace, &config).expect("valid trace"));
+            let decoded = DecodedTrace::decode(&trace).expect("valid trace");
+            criterion::black_box(SystemSim::run_decoded(&decoded, &config));
         });
     });
     group.bench_function("capture", |b| {

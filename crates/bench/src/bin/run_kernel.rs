@@ -27,7 +27,7 @@
 
 use graphpim::config::{PimMode, SystemConfig};
 use graphpim::experiments::pick_root;
-use graphpim::system::{Instrumentation, SystemSim};
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
 use graphpim_workloads::kernels::{by_name, KernelParams};
@@ -170,7 +170,11 @@ fn main() {
         }
         let label = format!("{}-{}", opts.kernel, mode.label());
         let instr = Instrumentation::from_env(&label);
-        let m = SystemSim::run_kernel_instrumented(kernel.as_mut(), &graph, &config, instr);
+        let m = SystemSim::run(
+            Source::Live(&mut |fw| kernel.run(&graph, fw)),
+            &config,
+            instr,
+        );
         if m.trace_export_failed {
             eprintln!("warning: trace export failed for run {label} (see preceding error)");
         }

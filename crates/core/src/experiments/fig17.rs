@@ -15,7 +15,7 @@ use crate::config::{PimMode, SystemConfig};
 use crate::energy::uncore_energy;
 use crate::metrics::RunMetrics;
 use crate::report::{fmt_pct, fmt_speedup, Table};
-use crate::system::SystemSim;
+use crate::system::{Instrumentation, Source, SystemSim};
 use graphpim_workloads::apps::{bitcoin_like, twitter_like, FraudDetection, Recommender};
 
 /// One application's results.
@@ -66,10 +66,11 @@ pub fn run() -> Vec<AppResult> {
         .map(|i| (i * 97) % bitcoin.vertex_count() as u32)
         .collect();
     let fd = |mode: PimMode| {
-        SystemSim::run_with(&SystemConfig::hpca(mode), |fw| {
-            let mut app = FraudDetection::new(seeds.clone());
-            app.run(&bitcoin, fw);
-        })
+        SystemSim::run(
+            Source::Live(&mut |fw| FraudDetection::new(seeds.clone()).run(&bitcoin, fw)),
+            &SystemConfig::hpca(mode),
+            Instrumentation::default(),
+        )
     };
 
     // Recommender system on the twitter-like graph.
@@ -78,10 +79,11 @@ pub fn run() -> Vec<AppResult> {
         .map(|i| (i * 131) % twitter.vertex_count() as u32)
         .collect();
     let rs = |mode: PimMode| {
-        SystemSim::run_with(&SystemConfig::hpca(mode), |fw| {
-            let mut app = Recommender::new(queries.clone(), 10);
-            app.run(&twitter, fw);
-        })
+        SystemSim::run(
+            Source::Live(&mut |fw| Recommender::new(queries.clone(), 10).run(&twitter, fw)),
+            &SystemConfig::hpca(mode),
+            Instrumentation::default(),
+        )
     };
 
     let jobs = [

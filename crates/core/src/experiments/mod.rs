@@ -24,7 +24,6 @@
 //! * `GRAPHPIM_CACHE_DIR=<dir>` — persistent run-cache directory
 //!   (default `<tmpdir>/graphpim-run-cache`).
 //! * `GRAPHPIM_NO_CACHE=1` — disable the persistent run cache.
-//! * `GRAPHPIM_VERBOSE=1` — log each simulation as it starts.
 //! * `GRAPHPIM_TRACE_DIR=<dir>` — write one JSONL counter trace per
 //!   freshly simulated run (see [`crate::telemetry`]). Disk-cache hits
 //!   produce no trace; combine with `GRAPHPIM_NO_CACHE=1` to force
@@ -40,19 +39,16 @@
 //!   (default `<tmpdir>/graphpim-trace-store`; see [`crate::tracestore`]).
 //! * `GRAPHPIM_NO_TRACE_STORE=1` — disable trace capture/replay; every
 //!   run executes its kernel live.
-//! * `GRAPHPIM_STREAM_REPLAY=1|0` — memory-lean streaming mode: captures
-//!   stream straight to the store file, cached traces stay in encoded
-//!   form (replayed frame by frame instead of from a flat decoded
-//!   buffer), and live runs pipeline kernel execution against the timing
-//!   models on a second thread. Unset: on at the `1m` scale, off below
-//!   it. Results are bit-identical either way (pinned by tests), so this
-//!   knob is deliberately *not* part of
-//!   [`crate::fingerprint::RESULT_ENV_KNOBS`].
 //! * `GRAPHPIM_VALIDATE=1|0` — per-run conservation invariants (see
 //!   [`crate::validate`]). Unset: on in debug builds (so `cargo test`
 //!   enforces them), off in release sweeps. Never affects results, only
 //!   whether an inconsistent run panics — so it is deliberately *not*
 //!   part of [`crate::fingerprint::RESULT_ENV_KNOBS`].
+//!
+//! Each fresh simulation, disk-cache hit, trace-store hit and capture
+//! logs one `debug` line (targets `engine` and `tracestore`; see
+//! [`crate::obs`]), so `GRAPHPIM_LOG=info,engine=debug` shows which runs
+//! simulate.
 
 pub mod ablation;
 pub mod backends;
@@ -83,14 +79,12 @@ use crate::config::{PimMode, SystemConfig};
 use crate::fingerprint::{fingerprint, result_env_fingerprint};
 use crate::metrics::RunMetrics;
 use crate::perfetto::PerfettoTrace;
-use crate::system::{Instrumentation, SystemSim};
+use crate::system::{Instrumentation, Source, SystemSim};
 use crate::telemetry::TraceExporter;
 use crate::tracestore::{TraceLoad, TraceLookup, TraceStore, WorkloadKey};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::{CsrGraph, VertexId};
-use graphpim_sim::trace::codec::{
-    CodecError, DecodedTrace, TraceReader, VerifiedBytes, CODEC_VERSION,
-};
+use graphpim_sim::trace::codec::{CodecError, DecodedTrace, TraceReader, CODEC_VERSION};
 use graphpim_sim::trace::{TraceEvent, TraceOp};
 use graphpim_sim::validate::ConfigError;
 use graphpim_workloads::kernels::{by_name, Kernel, KernelParams};
@@ -104,46 +98,6 @@ use std::time::Instant;
 
 /// Seed for all generated input graphs (part of the cache fingerprint).
 const GRAPH_SEED: u64 = 7;
-
-/// A captured workload trace, in the form replays will consume it.
-///
-/// The engine keeps each distinct workload's trace resident for the whole
-/// sweep, in exactly one form. Both forms hold the store entry's bytes
-/// (4 B/op, plus 8 per escaped op), so they differ in replay speed, not
-/// in memory:
-///
-/// * [`Decoded`](LoadedTrace::Decoded) — the flat buffer of 4-byte op
-///   words, the store entry's own words, and the fastest to replay
-///   (nothing to rebuild per run). Default at the 1k–100k scales. A capture packs
-///   op words once and writes those same words to the store entry
-///   ([`TraceStore::capture_decoded`]); a store hit streams the entry
-///   through one read, checksum and copy pass ([`TraceStore::load`]).
-/// * [`Bytes`](LoadedTrace::Bytes) — the raw encoded stream, unpacked
-///   frame by frame into per-thread op lists on a producer thread
-///   during each replay (see [`SystemSim::run_replayed_streaming`]).
-///   Default at the 1M scale, a choice made when it held half the
-///   bytes of the decoded form; now that both forms are the same size,
-///   whether 1M still needs it is unmeasured.
-///
-/// Both replay paths are bit-identical on the same trace.
-#[derive(Debug)]
-enum LoadedTrace {
-    /// Flat decoded op buffer (fast replay).
-    Decoded(DecodedTrace),
-    /// Encoded bytes for streaming replay.
-    Bytes(Vec<u8>),
-}
-
-impl LoadedTrace {
-    /// How much replay work the trace holds, for scheduling: its op
-    /// count, or its encoded length in streaming form.
-    fn size(&self) -> u64 {
-        match self {
-            LoadedTrace::Decoded(trace) => trace.op_count() as u64,
-            LoadedTrace::Bytes(bytes) => bytes.len() as u64,
-        }
-    }
-}
 
 /// A memoization key for one simulation run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -324,7 +278,6 @@ pub struct Experiments {
     graphs: OnceMap<(LdbcSize, bool), Arc<CsrGraph>>,
     runs: OnceMap<RunKey, RunMetrics>,
     disk: Option<DiskCache>,
-    verbose: bool,
     simulated: AtomicUsize,
     disk_hits: AtomicUsize,
     /// Snapshot of [`crate::fingerprint::RESULT_ENV_KNOBS`], folded into
@@ -342,12 +295,8 @@ pub struct Experiments {
     trace_store: Option<TraceStore>,
     /// Workload → captured-and-loaded trace (or the codec error, cached
     /// so every sweep point degrades identically). Captured at most once
-    /// per distinct workload no matter how many sweep points replay it;
-    /// the loaded form ([`LoadedTrace`]) depends on the streaming mode.
-    traces: OnceMap<WorkloadKey, Arc<Result<LoadedTrace, CodecError>>>,
-    /// Forced streaming mode (`Some`), or per-size default (`None`): see
-    /// [`Experiments::stream_replay_for`].
-    stream_replay: Option<bool>,
+    /// per distinct workload no matter how many sweep points replay it.
+    traces: OnceMap<WorkloadKey, Arc<Result<DecodedTrace, CodecError>>>,
     profile: Mutex<EngineProfile>,
 }
 
@@ -382,7 +331,6 @@ impl Experiments {
             graphs: Mutex::new(HashMap::new()),
             runs: Mutex::new(HashMap::new()),
             disk,
-            verbose: std::env::var("GRAPHPIM_VERBOSE").is_ok(),
             simulated: AtomicUsize::new(0),
             disk_hits: AtomicUsize::new(0),
             env_fingerprint: result_env_fingerprint(),
@@ -391,27 +339,8 @@ impl Experiments {
             attribution: std::env::var_os("GRAPHPIM_ATTRIB").is_some(),
             trace_store: TraceStore::from_env(),
             traces: Mutex::new(HashMap::new()),
-            stream_replay: stream_replay_from_env(),
             profile: Mutex::new(EngineProfile::default()),
         }
-    }
-
-    /// Same context with the memory-lean streaming mode forced on or off
-    /// (overrides `GRAPHPIM_STREAM_REPLAY` and the per-size default).
-    /// Results are bit-identical either way; only peak memory and the
-    /// live/replay execution shape change.
-    pub fn with_stream_replay(mut self, enabled: bool) -> Self {
-        self.stream_replay = Some(enabled);
-        self
-    }
-
-    /// Whether runs at `size` use the memory-lean streaming mode:
-    /// streaming capture, encoded-bytes trace residency with frame-by-
-    /// frame replay, and pipelined live runs. Forced value if set, else
-    /// on exactly at the 1M scale — the scale where the decoded trace
-    /// buffers stop fitting comfortably.
-    pub fn stream_replay_for(&self, size: LdbcSize) -> bool {
-        self.stream_replay.unwrap_or(size == LdbcSize::M1)
     }
 
     /// Same context with an explicit instruction-trace store (`None`
@@ -600,7 +529,7 @@ impl Experiments {
             &runs,
             |key| {
                 self.workload_trace(key, &self.graph_for(key))
-                    .and_then(|trace| trace.as_ref().as_ref().ok().map(LoadedTrace::size))
+                    .and_then(|trace| trace.as_ref().as_ref().ok().map(|t| t.op_count() as u64))
                     .unwrap_or(0)
             },
             |key| {
@@ -639,8 +568,8 @@ impl Experiments {
     /// Accounts a run resolved from the disk cache and returns it.
     fn disk_hit(&self, key: &RunKey, start: Instant, hit: RunMetrics) -> RunMetrics {
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        if self.verbose {
-            crate::obs::info("engine", "disk hit", &[("key", &key.file_stem())]);
+        if crate::obs::enabled(crate::obs::Level::Debug, "engine") {
+            crate::obs::debug("engine", "disk hit", &[("key", &key.file_stem())]);
         }
         let mut profile = self.profile.lock().unwrap();
         profile.note_disk_hit();
@@ -672,8 +601,8 @@ impl Experiments {
             }
         }
         let graph = self.graph_for(key);
-        if self.verbose {
-            crate::obs::info(
+        if crate::obs::enabled(crate::obs::Level::Debug, "engine") {
+            crate::obs::debug(
                 "engine",
                 "run",
                 &[
@@ -717,69 +646,31 @@ impl Experiments {
             attribution: self.attribution,
         };
         let live = || {
-            let mut k = self.build_kernel(key, &graph);
-            if self.stream_replay_for(key.size) {
-                // Pipelined: the kernel runs on a producer thread while
-                // this thread clocks the timing models. Bit-identical to
-                // the sequential path (pinned by tests).
-                SystemSim::run_kernel_pipelined_instrumented(
-                    k.as_mut(),
-                    &graph,
-                    &config,
-                    make_instrumentation(),
-                )
-            } else {
-                SystemSim::run_kernel_instrumented(
-                    k.as_mut(),
-                    &graph,
-                    &config,
-                    make_instrumentation(),
-                )
+            let mut kernel = self.build_kernel(key, &graph);
+            SystemSim::run(
+                Source::Live(&mut |fw| kernel.run(&graph, fw)),
+                &config,
+                make_instrumentation(),
+            )
+        };
+        let (metrics, source) = match self.workload_trace(key, &graph).as_deref() {
+            Some(Ok(trace)) => {
+                let m = SystemSim::run(Source::Trace(trace), &config, make_instrumentation());
+                self.profile.lock().unwrap().note_replay();
+                (m, RunSource::Replayed)
             }
-        };
-        let replay_fallback = |e: &dyn std::fmt::Display| {
-            // Should be unreachable — entries are checksum-validated at
-            // load — but a decode failure must degrade to a correct live
-            // run, never a panic.
-            crate::obs::warn(
-                "tracestore",
-                "replay failed; running live",
-                &[("key", &key.file_stem()), ("error", e)],
-            );
-            self.profile.lock().unwrap().note_replay_fallback();
-        };
-        let (metrics, source) = match self.workload_trace(key, &graph) {
-            Some(trace) => match trace.as_ref() {
-                Ok(LoadedTrace::Decoded(decoded)) => {
-                    let m = SystemSim::run_decoded_instrumented(
-                        decoded,
-                        &config,
-                        make_instrumentation(),
-                    );
-                    self.profile.lock().unwrap().note_replay();
-                    (m, RunSource::Replayed)
-                }
-                Ok(LoadedTrace::Bytes(bytes)) => {
-                    match SystemSim::run_replayed_streaming_instrumented(
-                        bytes,
-                        &config,
-                        make_instrumentation(),
-                    ) {
-                        Ok(m) => {
-                            self.profile.lock().unwrap().note_replay();
-                            (m, RunSource::Replayed)
-                        }
-                        Err(e) => {
-                            replay_fallback(&e);
-                            (live(), RunSource::Simulated)
-                        }
-                    }
-                }
-                Err(e) => {
-                    replay_fallback(e);
-                    (live(), RunSource::Simulated)
-                }
-            },
+            Some(Err(e)) => {
+                // Should be unreachable — entries are checksum-validated
+                // at load — but a decode failure must degrade to a
+                // correct live run, never a panic.
+                crate::obs::warn(
+                    "tracestore",
+                    "replay failed; running live",
+                    &[("key", &key.file_stem()), ("error", e)],
+                );
+                self.profile.lock().unwrap().note_replay_fallback();
+                (live(), RunSource::Simulated)
+            }
             None => (live(), RunSource::Simulated),
         };
         self.simulated.fetch_add(1, Ordering::Relaxed);
@@ -816,16 +707,18 @@ impl Experiments {
     /// Capture-once, load-once semantics: the first caller for a
     /// distinct `(kernel, graph, threads)` workload either loads the
     /// trace from the store or performs the single functional kernel
-    /// execution and persists it, producing the replay form for the
-    /// context's streaming mode as it goes; all concurrent and later
-    /// callers (any mode, FU count, or bandwidth) share the loaded trace.
+    /// execution and persists it; all concurrent and later callers (any
+    /// mode, FU count, or bandwidth) share the loaded trace. Only the op
+    /// words are ever resident, never a second copy of the entry: a store
+    /// hit streams the entry through one read, checksum and copy pass,
+    /// and a miss packs words while the capture writes them to the entry.
     /// A codec error is cached too — `compute` turns it into a live-run
     /// fallback.
     fn workload_trace(
         &self,
         key: &RunKey,
         graph: &Arc<CsrGraph>,
-    ) -> Option<Arc<Result<LoadedTrace, CodecError>>> {
+    ) -> Option<Arc<Result<DecodedTrace, CodecError>>> {
         let store = self.trace_store.as_ref()?;
         let wkey = self.workload_key(key);
         let cell = {
@@ -834,10 +727,31 @@ impl Experiments {
         };
         Some(Arc::clone(cell.get_or_init(|| {
             let fp = self.trace_fingerprint(key, wkey.threads);
-            Arc::new(if self.stream_replay_for(key.size) {
-                self.load_encoded(store, &wkey, fp, key, graph)
-            } else {
-                self.load_words(store, &wkey, fp, key, graph)
+            let start = Instant::now();
+            Arc::new(match store.load(&wkey, fp) {
+                TraceLoad::Hit(trace) => {
+                    self.note_store_hit(&wkey);
+                    self.profile
+                        .lock()
+                        .unwrap()
+                        .note_trace_decode(start.elapsed().as_secs_f64(), trace.resident_bytes());
+                    Ok(trace)
+                }
+                TraceLoad::Invalid(e) => {
+                    self.note_store_hit(&wkey);
+                    Err(e)
+                }
+                found => {
+                    self.note_store_miss(&wkey, matches!(found, TraceLoad::Corrupt));
+                    let start = Instant::now();
+                    let mut kernel = self.build_kernel(key, graph);
+                    let trace =
+                        store.capture_decoded(&wkey, fp, graph, wkey.threads, kernel.as_mut());
+                    let mut profile = self.profile.lock().unwrap();
+                    profile.note_trace_capture(start.elapsed().as_secs_f64());
+                    profile.note_trace_resident(trace.resident_bytes());
+                    Ok(trace)
+                }
             })
         })))
     }
@@ -853,83 +767,10 @@ impl Experiments {
         }
     }
 
-    /// Streaming mode: the entry's encoded bytes, checksummed once. A
-    /// miss captures straight into the store file and reads it back.
-    fn load_encoded(
-        &self,
-        store: &TraceStore,
-        wkey: &WorkloadKey,
-        fp: u64,
-        key: &RunKey,
-        graph: &CsrGraph,
-    ) -> Result<LoadedTrace, CodecError> {
-        let verified = match store.lookup(wkey, fp) {
-            TraceLookup::Hit(verified) => {
-                self.note_store_hit(wkey);
-                verified
-            }
-            found => {
-                self.note_store_miss(wkey, matches!(found, TraceLookup::Corrupt));
-                let start = Instant::now();
-                let bytes = store.capture_streaming(wkey, fp, graph, wkey.threads, &mut || {
-                    self.build_kernel(key, graph)
-                });
-                self.profile
-                    .lock()
-                    .unwrap()
-                    .note_trace_capture(start.elapsed().as_secs_f64());
-                // A bad entry degrades like a decode error on the
-                // buffered path.
-                VerifiedBytes::new(bytes)?
-            }
-        };
-        Ok(LoadedTrace::Bytes(verified.into_vec()))
-    }
-
-    /// Buffered mode: the op words, and never a second copy of the
-    /// entry. A store hit streams the entry through one read, checksum
-    /// and copy pass; a miss packs words while the capture writes them
-    /// to the entry.
-    fn load_words(
-        &self,
-        store: &TraceStore,
-        wkey: &WorkloadKey,
-        fp: u64,
-        key: &RunKey,
-        graph: &CsrGraph,
-    ) -> Result<LoadedTrace, CodecError> {
-        let start = Instant::now();
-        let trace = match store.load(wkey, fp) {
-            TraceLoad::Hit(trace) => {
-                self.note_store_hit(wkey);
-                self.profile
-                    .lock()
-                    .unwrap()
-                    .note_trace_decode(start.elapsed().as_secs_f64(), trace.resident_bytes());
-                trace
-            }
-            TraceLoad::Invalid(e) => {
-                self.note_store_hit(wkey);
-                return Err(e);
-            }
-            found => {
-                self.note_store_miss(wkey, matches!(found, TraceLoad::Corrupt));
-                let start = Instant::now();
-                let mut kernel = self.build_kernel(key, graph);
-                let trace = store.capture_decoded(wkey, fp, graph, wkey.threads, kernel.as_mut());
-                let mut profile = self.profile.lock().unwrap();
-                profile.note_trace_capture(start.elapsed().as_secs_f64());
-                profile.note_trace_resident(trace.resident_bytes());
-                trace
-            }
-        };
-        Ok(LoadedTrace::Decoded(trace))
-    }
-
     /// Accounts a trace-store hit.
     fn note_store_hit(&self, wkey: &WorkloadKey) {
-        if self.verbose {
-            crate::obs::info(
+        if crate::obs::enabled(crate::obs::Level::Debug, "tracestore") {
+            crate::obs::debug(
                 "tracestore",
                 "store hit",
                 &[("workload", &wkey.file_stem())],
@@ -949,8 +790,8 @@ impl Experiments {
                 profile.note_trace_disk_miss();
             }
         }
-        if self.verbose {
-            crate::obs::info("tracestore", "capture", &[("workload", &wkey.file_stem())]);
+        if crate::obs::enabled(crate::obs::Level::Debug, "tracestore") {
+            crate::obs::debug("tracestore", "capture", &[("workload", &wkey.file_stem())]);
         }
     }
 
@@ -1239,30 +1080,6 @@ impl std::fmt::Debug for Experiments {
             .field("simulated", &self.simulations_executed())
             .field("disk_hits", &self.disk_cache_hits())
             .finish()
-    }
-}
-
-/// Parses `GRAPHPIM_STREAM_REPLAY` (`1`/`0`; unset → per-size default).
-///
-/// A garbage value warns and falls back to the default instead of
-/// aborting: the knob never affects results, only the memory and
-/// execution shape, so a typo is not worth killing a sweep over.
-fn stream_replay_from_env() -> Option<bool> {
-    match std::env::var("GRAPHPIM_STREAM_REPLAY") {
-        Ok(v) => match v.trim() {
-            "1" => Some(true),
-            "0" => Some(false),
-            other => {
-                crate::obs::warn(
-                    "engine",
-                    "unrecognized GRAPHPIM_STREAM_REPLAY value (expected 1 or 0); \
-                     using the per-size default",
-                    &[("value", &format!("{other:?}"))],
-                );
-                None
-            }
-        },
-        Err(_) => None,
     }
 }
 
@@ -1578,59 +1395,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let w = ctx.weighted_graph(LdbcSize::K1);
         assert!(!Arc::ptr_eq(&a, &w));
-    }
-
-    #[test]
-    fn stream_replay_mode_is_bit_identical() {
-        use crate::tracestore::TraceStore;
-        // Streaming mode changes the capture path (straight to disk), the
-        // resident trace form (encoded bytes), the replay path (frame-by-
-        // frame on a producer thread), and the live path (pipelined) —
-        // none of which may move a single counter. Exact RunMetrics
-        // equality across both modes, with and without a trace store.
-        let store_dir =
-            std::env::temp_dir().join(format!("graphpim-streamreplay-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&store_dir);
-        for with_store in [true, false] {
-            let make_store = || {
-                if with_store {
-                    Some(TraceStore::at(&store_dir))
-                } else {
-                    None
-                }
-            };
-            let buffered = Experiments::with_cache(LdbcSize::K1, None)
-                .with_trace_store(make_store())
-                .with_stream_replay(false);
-            let streaming = Experiments::with_cache(LdbcSize::K1, None)
-                .with_trace_store(make_store())
-                .with_stream_replay(true);
-            for mode in [PimMode::Baseline, PimMode::UPei, PimMode::GraphPim] {
-                assert_eq!(
-                    buffered.metrics("DC", mode),
-                    streaming.metrics("DC", mode),
-                    "with_store={with_store} mode={mode:?}"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
-
-    #[test]
-    fn stream_replay_defaults_on_at_1m_only() {
-        let ctx = Experiments::with_cache(LdbcSize::K1, None);
-        // Only check the built-in default when the env knob is not
-        // overriding it in this test process.
-        if std::env::var_os("GRAPHPIM_STREAM_REPLAY").is_none() {
-            assert!(!ctx.stream_replay_for(LdbcSize::K1));
-            assert!(!ctx.stream_replay_for(LdbcSize::K100));
-            assert!(ctx.stream_replay_for(LdbcSize::M1));
-        }
-        let forced = ctx.with_stream_replay(true);
-        assert!(forced.stream_replay_for(LdbcSize::K1));
-        assert!(!forced
-            .with_stream_replay(false)
-            .stream_replay_for(LdbcSize::M1));
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub struct TraceStoreCounts {
     /// Wall seconds spent in those captures.
     pub capture_seconds: f64,
     /// Wall seconds spent loading stored traces into their resident
-    /// replay form: one pass that reads, checksums and decodes each
-    /// entry (streaming replay decodes per run and adds nothing).
+    /// replay form: one pass that reads, checksums and copies each
+    /// entry's op words.
     pub decode_seconds: f64,
     /// Heap bytes of the traces resident in replay form, loaded or
     /// captured

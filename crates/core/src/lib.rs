@@ -52,7 +52,6 @@ pub mod obs;
 pub mod perfetto;
 pub mod pou;
 pub mod report;
-pub mod stream;
 pub mod system;
 pub mod telemetry;
 pub mod tracestore;

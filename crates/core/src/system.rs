@@ -11,8 +11,10 @@
 //! Barriers synchronize the per-core clocks and wait for in-flight posted
 //! PIM atomics — the consistency argument of Section II-D.
 //!
-//! With a [`TraceExporter`] attached ([`SystemSim::run_kernel_traced`]),
-//! the simulator additionally snapshots every telemetry counter at each
+//! Every simulation goes through [`SystemSim::run`]: a [`Source`] (a
+//! workload executed live, or a loaded trace replayed) plus the
+//! [`Instrumentation`] to attach. With a [`TraceExporter`] attached, the
+//! simulator additionally snapshots every telemetry counter at each
 //! superstep barrier and once more at run end. Collection is pull-based
 //! (components are read, never notified), so a traced run produces
 //! bit-identical [`RunMetrics`].
@@ -31,7 +33,7 @@ use graphpim_sim::hmc::{HmcAtomicOp, HmcServed, PacketKind};
 use graphpim_sim::mem::hierarchy::{AccessResult, CacheHierarchy, ServiceLevel};
 use graphpim_sim::mem::Addr;
 use graphpim_sim::telemetry::CounterRegistry;
-use graphpim_sim::trace::codec::{CodecError, DecodedEvent, DecodedTrace, ThreadSpan};
+use graphpim_sim::trace::codec::{DecodedEvent, DecodedTrace, ThreadSpan};
 use graphpim_sim::trace::{Superstep, TraceOp};
 use graphpim_sim::Cycle;
 use graphpim_workloads::framework::{Framework, TraceConsumer};
@@ -44,6 +46,16 @@ const BUS_LOCK_PENALTY: f64 = 100.0;
 /// One in this many memory-request lifecycles is exported as a Perfetto
 /// span (full export would dwarf the run it describes).
 const PERFETTO_REQUEST_SAMPLE: u64 = 64;
+
+/// What a run simulates.
+pub enum Source<'a> {
+    /// A workload executed live: the closure drives a fresh
+    /// [`Framework`] over `config.sim.core.cores` threads (a kernel, or
+    /// any application built on the framework).
+    Live(&'a mut dyn FnMut(&mut Framework<'_>)),
+    /// A loaded trace, replayed without executing any kernel code.
+    Trace(&'a DecodedTrace),
+}
 
 /// Optional observers attached to a run. All of them are pull-based or
 /// record already-computed deltas, so any combination leaves the
@@ -261,159 +273,60 @@ impl SystemSim {
         }
     }
 
-    /// Runs a kernel end to end under `config` and returns the metrics.
+    /// Runs `source` under `config` with `instrumentation` attached and
+    /// returns the metrics. Every simulation goes through here.
+    ///
+    /// A [`Source::Trace`] must have been captured with a thread count
+    /// equal to `config.sim.core.cores`; its replay is then bit-identical
+    /// to the live run of the same workload under the same config, since
+    /// replay drives the exact chunk/barrier event sequence a live run
+    /// produces.
+    pub fn run(
+        source: Source<'_>,
+        config: &SystemConfig,
+        instrumentation: Instrumentation,
+    ) -> RunMetrics {
+        let mut sys = SystemSim::new(config.clone());
+        sys.instrument(instrumentation);
+        match source {
+            Source::Live(workload) => {
+                let mut fw = Framework::new(config.sim.core.cores, &mut sys);
+                workload(&mut fw);
+                fw.finish();
+            }
+            Source::Trace(trace) => {
+                for event in trace.events() {
+                    sys.replay_decoded_event(trace, event);
+                }
+            }
+        }
+        sys.into_metrics()
+    }
+
+    /// Runs a kernel end to end under `config`, uninstrumented.
     pub fn run_kernel(
         kernel: &mut dyn Kernel,
         graph: &CsrGraph,
         config: &SystemConfig,
     ) -> RunMetrics {
-        Self::run_kernel_traced(kernel, graph, config, None)
-    }
-
-    /// [`run_kernel`](Self::run_kernel) with an optional trace exporter.
-    pub fn run_kernel_traced(
-        kernel: &mut dyn Kernel,
-        graph: &CsrGraph,
-        config: &SystemConfig,
-        trace: Option<TraceExporter>,
-    ) -> RunMetrics {
-        Self::run_with_traced(config, trace, |fw| kernel.run(graph, fw))
-    }
-
-    /// [`run_kernel`](Self::run_kernel) with the full observer set.
-    pub fn run_kernel_instrumented(
-        kernel: &mut dyn Kernel,
-        graph: &CsrGraph,
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-    ) -> RunMetrics {
-        Self::run_with_instrumented(config, instrumentation, |fw| kernel.run(graph, fw))
-    }
-
-    /// Runs an arbitrary framework workload (used by the real-world
-    /// applications) and returns the metrics.
-    pub fn run_with<F>(config: &SystemConfig, workload: F) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        Self::run_with_traced(config, None, workload)
-    }
-
-    /// [`run_with`](Self::run_with) with an optional trace exporter.
-    pub fn run_with_traced<F>(
-        config: &SystemConfig,
-        trace: Option<TraceExporter>,
-        workload: F,
-    ) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        Self::run_with_instrumented(
+        Self::run(
+            Source::Live(&mut |fw| kernel.run(graph, fw)),
             config,
-            Instrumentation {
-                trace,
-                ..Instrumentation::default()
-            },
-            workload,
+            Instrumentation::default(),
         )
     }
 
-    /// [`run_with`](Self::run_with) with the full observer set.
-    pub fn run_with_instrumented<F>(
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-        workload: F,
-    ) -> RunMetrics
-    where
-        F: FnOnce(&mut Framework<'_>),
-    {
-        let threads = config.sim.core.cores;
-        let mut sys = SystemSim::new(config.clone());
-        sys.instrument(instrumentation);
-        {
-            let mut fw = Framework::new(threads, &mut sys);
-            workload(&mut fw);
-            fw.finish();
-        }
-        sys.into_metrics()
-    }
-
-    /// Replays a captured binary trace (see
-    /// [`graphpim_sim::trace::codec`]) through the timing models under
-    /// `config`, without executing any kernel code.
-    ///
-    /// The trace must have been captured with a thread count equal to
-    /// `config.sim.core.cores`; the result is then bit-identical to
-    /// [`run_kernel`](Self::run_kernel) of the same workload under the
-    /// same config — replay drives the exact chunk/barrier event sequence
-    /// a live run produces.
-    pub fn run_replayed(bytes: &[u8], config: &SystemConfig) -> Result<RunMetrics, CodecError> {
-        Self::run_replayed_traced(bytes, config, None)
-    }
-
-    /// [`run_replayed`](Self::run_replayed) with an optional trace
-    /// exporter.
-    pub fn run_replayed_traced(
-        bytes: &[u8],
-        config: &SystemConfig,
-        trace: Option<TraceExporter>,
-    ) -> Result<RunMetrics, CodecError> {
-        Self::run_replayed_instrumented(
-            bytes,
-            config,
-            Instrumentation {
-                trace,
-                ..Instrumentation::default()
-            },
-        )
-    }
-
-    /// [`run_replayed`](Self::run_replayed) with the full observer set.
-    ///
-    /// Decodes the whole trace up front (so codec errors surface before
-    /// any simulation happens), then drives the flat op buffer through the
-    /// timing models — the same fast path as
-    /// [`run_decoded`](Self::run_decoded).
-    pub fn run_replayed_instrumented(
-        bytes: &[u8],
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-    ) -> Result<RunMetrics, CodecError> {
-        let decoded = DecodedTrace::decode(bytes)?;
-        Ok(Self::run_decoded_instrumented(
-            &decoded,
-            config,
-            instrumentation,
-        ))
-    }
-
-    /// Replays a loaded trace. Loading once and replaying the flat
-    /// op-word buffer many times is the engine's steady state: every
-    /// timing-config sweep point reuses the same [`DecodedTrace`],
-    /// unpacking each word as it is scheduled. Bit-identical to
-    /// [`run_replayed`](Self::run_replayed) on the same bytes.
+    /// Replays a loaded trace under `config`, uninstrumented. Loading
+    /// once and replaying the flat op-word buffer many times is the
+    /// engine's steady state: every timing-config sweep point reuses the
+    /// same [`DecodedTrace`], unpacking each word as it is scheduled.
     pub fn run_decoded(trace: &DecodedTrace, config: &SystemConfig) -> RunMetrics {
-        Self::run_decoded_instrumented(trace, config, Instrumentation::default())
-    }
-
-    /// [`run_decoded`](Self::run_decoded) with the full observer set.
-    pub fn run_decoded_instrumented(
-        trace: &DecodedTrace,
-        config: &SystemConfig,
-        instrumentation: Instrumentation,
-    ) -> RunMetrics {
-        let mut sys = SystemSim::new(config.clone());
-        sys.instrument(instrumentation);
-        for event in trace.events() {
-            sys.replay_decoded_event(trace, event);
-        }
-        sys.into_metrics()
+        Self::run(Source::Trace(trace), config, Instrumentation::default())
     }
 
     /// Feeds one decoded event through the consumer. Public so harnesses
     /// (benches, the allocation-guard test) can drive a replay
-    /// incrementally; [`run_decoded`](Self::run_decoded) is this in a
-    /// loop.
+    /// incrementally; a [`Source::Trace`] run is this in a loop.
     pub fn replay_decoded_event(&mut self, trace: &DecodedTrace, event: DecodedEvent<'_>) {
         match event {
             DecodedEvent::Chunk(spans) => self.chunk_decoded(trace, spans),
@@ -1159,10 +1072,11 @@ mod tests {
     #[test]
     fn run_with_closure_api() {
         let g = graph();
-        let metrics = SystemSim::run_with(&SystemConfig::tiny(PimMode::Baseline), |fw| {
-            let mut bfs = Bfs::new(0);
-            bfs.run(&g, fw);
-        });
+        let metrics = SystemSim::run(
+            Source::Live(&mut |fw| Bfs::new(0).run(&g, fw)),
+            &SystemConfig::tiny(PimMode::Baseline),
+            Instrumentation::default(),
+        );
         assert!(metrics.total_cycles > 0.0);
         assert!(metrics.core.instructions > 0);
     }

@@ -5,9 +5,10 @@
 //! the environment knobs that pick the graph, i.e. `GRAPHPIM_SCALE`).
 //! The experiment engine therefore **captures** each distinct workload
 //! once — a purely functional kernel execution streamed through the
-//! binary codec, no timing simulation — and **replays** the stored bytes
-//! through [`SystemSim::run_replayed`](crate::system::SystemSim::run_replayed)
-//! for every sweep point. This mirrors the paper's methodology split:
+//! binary codec, no timing simulation — and **replays** the stored op
+//! words (loaded as a [`DecodedTrace`]) through
+//! [`SystemSim::run`](crate::system::SystemSim::run) for every sweep
+//! point. This mirrors the paper's methodology split:
 //! MacSim generates the instruction trace once, SST's memory timing
 //! models consume it per configuration.
 //!
@@ -259,60 +260,6 @@ impl TraceStore {
         }
     }
 
-    /// Captures `key`'s workload **streaming straight into the store
-    /// entry** and returns the published bytes (read back from disk).
-    ///
-    /// This is the memory-lean capture path for large inputs: trace bytes
-    /// leave the process through a `BufWriter<File>` as the framework
-    /// produces them, so the capture's trace footprint is one chunk
-    /// instead of the whole encoded stream. Same temp-file + rename
-    /// discipline as [`store`](Self::store) — a torn entry is never
-    /// published.
-    ///
-    /// `make_kernel` must return a *fresh* kernel instance each call: on
-    /// an I/O failure mid-capture, the partially run kernel is discarded
-    /// and the capture restarts in memory (with a best-effort buffered
-    /// store), so the caller always gets valid trace bytes back.
-    pub fn capture_streaming(
-        &self,
-        key: &WorkloadKey,
-        fingerprint: u64,
-        graph: &CsrGraph,
-        threads: usize,
-        make_kernel: &mut dyn FnMut() -> Box<dyn Kernel>,
-    ) -> Vec<u8> {
-        match self.capture_streaming_inner(key, fingerprint, graph, threads, make_kernel) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                warn_once(&self.dir, "stream a capture to disk", &e);
-                let mut kernel = make_kernel();
-                let bytes = capture_kernel(kernel.as_mut(), graph, threads);
-                self.store(key, fingerprint, &bytes);
-                bytes
-            }
-        }
-    }
-
-    fn capture_streaming_inner(
-        &self,
-        key: &WorkloadKey,
-        fingerprint: u64,
-        graph: &CsrGraph,
-        threads: usize,
-        make_kernel: &mut dyn FnMut() -> Box<dyn Kernel>,
-    ) -> std::io::Result<Vec<u8>> {
-        let tmp = self.tmp_path();
-        let mut stream = self.create_entry(&tmp, threads)?;
-        {
-            let mut fw = Framework::new(threads, &mut stream);
-            make_kernel().run(graph, &mut fw);
-            fw.finish();
-        }
-        let path = self.path(key, fingerprint);
-        self.publish(stream, &tmp, &path)?;
-        std::fs::read(&path)
-    }
-
     /// Captures `key`'s workload straight into replay form while
     /// publishing its entry: every frame the framework emits is packed
     /// into op words by a [`DecodedTraceBuilder`], and those same words
@@ -488,21 +435,6 @@ mod tests {
         store.store(&key(), 0xFEED, &bytes);
         match store.lookup(&key(), 0xFEED) {
             TraceLookup::Hit(loaded) => assert_eq!(loaded, bytes),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn streaming_capture_matches_buffered_and_publishes() {
-        let store = tmp_store("streamcap");
-        let graph = GraphSpec::uniform(200, 800).seed(3).build();
-        let buffered = capture_kernel(&mut Bfs::new(0), &graph, 2);
-        let streamed =
-            store.capture_streaming(&key(), 0xBEEF, &graph, 2, &mut || Box::new(Bfs::new(0)));
-        assert_eq!(streamed, buffered, "stream and buffer paths must agree");
-        match store.lookup(&key(), 0xBEEF) {
-            TraceLookup::Hit(loaded) => assert_eq!(loaded, buffered),
             other => panic!("expected hit, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(store.dir());

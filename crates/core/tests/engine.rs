@@ -253,7 +253,7 @@ fn tee_capture_publishes_the_words_it_replays() {
     let config = SystemConfig::tiny(PimMode::GraphPim);
     assert_eq!(
         SystemSim::run_decoded(&captured, &config),
-        SystemSim::run_replayed(&bytes, &config).unwrap()
+        SystemSim::run_decoded(&decoded, &config)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

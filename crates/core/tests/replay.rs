@@ -56,10 +56,11 @@ fn replay_is_bit_identical_to_live_run() {
     for (name, make) in kernels {
         let config = SystemConfig::tiny(PimMode::Baseline);
         let bytes = capture_kernel(make().as_mut(), &g, config.sim.core.cores);
+        let trace = DecodedTrace::decode(&bytes).expect("valid trace");
         for mode in [PimMode::Baseline, PimMode::GraphPim, PimMode::UPei] {
             let config = SystemConfig::tiny(mode);
             let live = SystemSim::run_kernel(make().as_mut(), &g, &config);
-            let replayed = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
+            let replayed = SystemSim::run_decoded(&trace, &config);
             assert_bit_identical(&live, &replayed, &format!("{name} under {mode}"));
         }
         // The same trace also replays faithfully under non-default timing
@@ -68,7 +69,7 @@ fn replay_is_bit_identical_to_live_run() {
             .with_fus_per_vault(4)
             .with_link_bandwidth_factor(0.5);
         let live = SystemSim::run_kernel(make().as_mut(), &g, &tweaked);
-        let replayed = SystemSim::run_replayed(&bytes, &tweaked).expect("valid trace");
+        let replayed = SystemSim::run_decoded(&trace, &tweaked);
         assert_bit_identical(&live, &replayed, &format!("{name} tweaked"));
     }
 }
@@ -76,8 +77,8 @@ fn replay_is_bit_identical_to_live_run() {
 /// The captured thread count need not equal the replay config's core
 /// count — the scheduler folds thread `t` onto core `t % cores`. Capture
 /// BFS at 1:1, 2:1, and an odd ratio against the tiny config's two cores
-/// and check both replay paths (streaming bytes, and the decode-once
-/// fast path) against a live run driven at the same thread count.
+/// and check the decoded replay against a live run driven at the same
+/// thread count.
 #[test]
 fn replay_matches_live_across_thread_core_ratios() {
     let g = graph();
@@ -103,10 +104,8 @@ fn replay_matches_live_across_thread_core_ratios() {
             let live = sys.into_metrics();
 
             let what = format!("BFS threads={threads} under {mode:?}");
-            let replayed = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
+            let replayed = SystemSim::run_decoded(&decoded, &config);
             assert_bit_identical(&live, &replayed, &what);
-            let fast = SystemSim::run_decoded(&decoded, &config);
-            assert_bit_identical(&live, &fast, &format!("{what} (pre-decoded)"));
         }
     }
 }
@@ -114,8 +113,8 @@ fn replay_matches_live_across_thread_core_ratios() {
 /// Ops whose values do not fit an op word (addresses past the load and
 /// atomic windows, outside the property region or unaligned) go to each
 /// span's escape values, and a decoded replay hands them out per thread
-/// as the scheduler interleaves the threads. Live, streamed and decoded
-/// runs must agree.
+/// as the scheduler interleaves the threads. Live and decoded runs must
+/// agree.
 #[test]
 fn escaped_ops_replay_like_live() {
     let threads = 4;
@@ -178,19 +177,15 @@ fn escaped_ops_replay_like_live() {
             }
         }
         let live = sys.into_metrics();
-        let what = format!("escaped ops under {mode:?}");
-        let streamed = SystemSim::run_replayed_streaming(&bytes, &config).expect("valid trace");
-        assert_bit_identical(&live, &streamed, &format!("{what} (streamed)"));
         let decoded_run = SystemSim::run_decoded(&decoded, &config);
-        assert_bit_identical(&live, &decoded_run, &format!("{what} (decoded)"));
+        assert_bit_identical(&live, &decoded_run, &format!("escaped ops under {mode:?}"));
     }
 }
 
 #[test]
 fn garbage_bytes_are_rejected_not_replayed() {
-    let config = SystemConfig::tiny(PimMode::Baseline);
-    assert!(SystemSim::run_replayed(b"not a trace", &config).is_err());
-    assert!(SystemSim::run_replayed(&[], &config).is_err());
+    assert!(DecodedTrace::decode(b"not a trace").is_err());
+    assert!(DecodedTrace::decode(&[]).is_err());
 }
 
 /// The engine captures each distinct workload once and replays it for

@@ -1,62 +1,15 @@
-//! Scale-path contracts: the memory-lean streaming/pipelined execution
-//! paths must be bit-identical to the sequential ones on a real LDBC
-//! input, and the LDBC-1M configuration must actually run memory-lean.
-//!
-//! The unit tests in `stream.rs` pin the same identities on a small
-//! uniform graph; these run on the engine's LDBC-1k graph (seed 7 — the
-//! exact graph the committed bench baseline simulates) so a divergence
-//! that only shows up under real degree skew is caught too.
+//! Scale-path contract: the LDBC-1M configuration must run within a
+//! fixed memory budget on the engine's one replay path (a trace captured
+//! straight into op words, then replayed from them).
 
 use graphpim::config::{PimMode, SystemConfig};
 use graphpim::system::SystemSim;
-use graphpim::tracestore::capture_kernel;
+use graphpim::tracestore::{TraceStore, WorkloadKey};
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
-use graphpim_workloads::kernels::{Bfs, DCentr, Sssp};
-
-const ALL_MODES: [PimMode; 3] = [PimMode::Baseline, PimMode::UPei, PimMode::GraphPim];
+use graphpim_workloads::kernels::DCentr;
 
 /// The engine's graph seed (`GRAPH_SEED` in the experiments module).
 const SEED: u64 = 7;
-
-#[test]
-fn pipelined_run_is_bit_identical_on_ldbc_1k() {
-    let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).build();
-    for mode in ALL_MODES {
-        let config = SystemConfig::hpca(mode);
-        let sequential = SystemSim::run_kernel(&mut Bfs::new(0), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut Bfs::new(0), &graph, &config);
-        assert_eq!(sequential, pipelined, "BFS diverged under {mode:?}");
-
-        let sequential = SystemSim::run_kernel(&mut DCentr::new(), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut DCentr::new(), &graph, &config);
-        assert_eq!(sequential, pipelined, "DC diverged under {mode:?}");
-    }
-}
-
-#[test]
-fn pipelined_run_is_bit_identical_on_weighted_ldbc_1k() {
-    // SSSP drives the weighted graph and the CAS-retry path.
-    let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).weighted().build();
-    for mode in ALL_MODES {
-        let config = SystemConfig::hpca(mode);
-        let sequential = SystemSim::run_kernel(&mut Sssp::new(0), &graph, &config);
-        let pipelined = SystemSim::run_kernel_pipelined(&mut Sssp::new(0), &graph, &config);
-        assert_eq!(sequential, pipelined, "SSSP diverged under {mode:?}");
-    }
-}
-
-#[test]
-fn streaming_replay_is_bit_identical_on_ldbc_1k() {
-    let graph = GraphSpec::ldbc(LdbcSize::K1).seed(SEED).build();
-    let threads = SystemConfig::hpca(PimMode::Baseline).sim.core.cores;
-    let bytes = capture_kernel(&mut Bfs::new(0), &graph, threads);
-    for mode in ALL_MODES {
-        let config = SystemConfig::hpca(mode);
-        let decoded = SystemSim::run_replayed(&bytes, &config).expect("valid trace");
-        let streamed = SystemSim::run_replayed_streaming(&bytes, &config).expect("valid trace");
-        assert_eq!(decoded, streamed, "replay diverged under {mode:?}");
-    }
-}
 
 /// Peak resident set of this process (`VmHWM`), in bytes.
 fn peak_rss_bytes() -> u64 {
@@ -75,16 +28,17 @@ fn peak_rss_bytes() -> u64 {
     panic!("no VmHWM in /proc/self/status");
 }
 
-/// LDBC-1M smoke: generate the 28.8M-edge graph, capture DC streaming to
-/// disk, and replay it under GraphPIM through the frame-by-frame path.
+/// LDBC-1M smoke: generate the 28.8M-edge graph, capture DC into a
+/// temporary trace store with [`TraceStore::capture_decoded`] (the op
+/// words are packed as the kernel emits them and written to the entry
+/// as they are packed, so only the words are resident, not the entry's
+/// bytes as well), and replay the words under GraphPIM.
 ///
-/// Peak-RSS budget: the graph itself is ~250 MB of CSR arrays; DC's
-/// encoded trace at 1M is ~700 MB (measured ~7 MB at 10k, linear in
-/// edges); the streaming capture and replay paths hold at most a couple
-/// of supersteps of decoded ops on top. 8 GiB leaves ~4× headroom over
-/// the expected ~2 GiB so the assertion survives allocator noise while
-/// still failing loudly if either path regresses to buffering the whole
-/// decoded trace (which costs several times the encoded size).
+/// Peak-RSS budget: the graph itself is ~250 MB of CSR arrays, and DC's
+/// trace at 1M is a few hundred MB of 4-byte op words. 8 GiB leaves
+/// ample headroom over that for allocator noise while still failing
+/// loudly if capture or replay regresses to holding a second, wider
+/// copy of the trace (per-thread `TraceOp` lists cost 16 B per op).
 ///
 /// `#[ignore]`d: takes minutes. Run alone (the budget is process-wide):
 ///
@@ -101,8 +55,17 @@ fn ldbc_1m_dc_runs_memory_lean() {
 
     let config = SystemConfig::hpca(PimMode::GraphPim);
     let threads = config.sim.core.cores;
-    let bytes = capture_kernel(&mut DCentr::new(), &graph, threads);
-    let metrics = SystemSim::run_replayed_streaming(&bytes, &config).expect("valid trace");
+    let dir = std::env::temp_dir().join(format!("graphpim-scale-1m-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wkey = WorkloadKey {
+        kernel: "DC".into(),
+        graph: "ldbc-1m".into(),
+        threads,
+    };
+    let trace =
+        TraceStore::at(&dir).capture_decoded(&wkey, SEED, &graph, threads, &mut DCentr::new());
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = SystemSim::run_decoded(&trace, &config);
     assert!(metrics.total_cycles > 0.0);
     assert!(metrics.offloaded_atomics > 0, "DC offloads under GraphPIM");
 

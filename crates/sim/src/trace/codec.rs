@@ -630,11 +630,6 @@ impl VerifiedBytes {
         TraceReader::new(&bytes)?;
         Ok(VerifiedBytes(bytes))
     }
-
-    /// The raw encoded bytes.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.0
-    }
 }
 
 impl std::ops::Deref for VerifiedBytes {

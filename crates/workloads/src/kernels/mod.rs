@@ -90,11 +90,7 @@ pub struct OffloadTarget {
 }
 
 /// A runnable GraphBIG workload.
-///
-/// `Send` is a supertrait so a kernel can execute on a producer thread
-/// while the timing models consume its trace on another (the pipelined
-/// run path); kernels are plain data, so this costs implementors nothing.
-pub trait Kernel: Send {
+pub trait Kernel {
     /// Display name used in the paper's figures (e.g. `"BFS"`).
     fn name(&self) -> &'static str;
 

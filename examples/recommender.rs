@@ -7,7 +7,7 @@
 
 use graphpim::config::{PimMode, SystemConfig};
 use graphpim::energy::uncore_energy;
-use graphpim::system::SystemSim;
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim_workloads::apps::{twitter_like, Recommender};
 
 fn main() {
@@ -24,9 +24,11 @@ fn main() {
     let mut results = Vec::new();
     for mode in [PimMode::Baseline, PimMode::GraphPim] {
         let mut app = Recommender::new(queries.clone(), 5);
-        let metrics = SystemSim::run_with(&SystemConfig::hpca(mode), |fw| {
-            app.run(&graph, fw);
-        });
+        let metrics = SystemSim::run(
+            Source::Live(&mut |fw| app.run(&graph, fw)),
+            &SystemConfig::hpca(mode),
+            Instrumentation::default(),
+        );
         let energy = uncore_energy(&metrics, 2.0, 32, 16).total();
         println!(
             "{:>9}: {:>12.0} cycles, {:>5.1} uJ uncore",

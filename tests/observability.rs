@@ -9,10 +9,13 @@ use graphpim::config::{PimMode, SystemConfig};
 use graphpim::experiments::cache::json;
 use graphpim::metrics::RunMetrics;
 use graphpim::perfetto::PerfettoTrace;
-use graphpim::system::{Instrumentation, SystemSim};
+use graphpim::system::{Instrumentation, Source, SystemSim};
 use graphpim::telemetry::{TraceExporter, TraceSnapshot};
+use graphpim::tracestore::capture_kernel;
 use graphpim_graph::generate::{GraphSpec, LdbcSize};
 use graphpim_graph::CsrGraph;
+use graphpim_sim::trace::codec::DecodedTrace;
+use graphpim_workloads::framework::Framework;
 use graphpim_workloads::kernels::{by_name, KernelParams};
 use std::path::{Path, PathBuf};
 
@@ -41,7 +44,11 @@ fn run_instrumented(graph: &CsrGraph, mode: PimMode, dir: &Path) -> RunMetrics {
         perfetto: Some(perfetto),
         attribution: true,
     };
-    SystemSim::run_kernel_instrumented(kernel.as_mut(), graph, &SystemConfig::tiny(mode), instr)
+    SystemSim::run(
+        Source::Live(&mut |fw| kernel.run(graph, fw)),
+        &SystemConfig::tiny(mode),
+        instr,
+    )
 }
 
 /// The final JSONL snapshot of the run written into `dir`.
@@ -203,5 +210,71 @@ fn perfetto_trace_matches_expected_schema() {
         names.iter().any(|n| n.starts_with("superstep ")),
         "trace contains superstep spans"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every way into [`SystemSim::run`] — a live workload or a replayed
+/// trace, bare or with every observer attached — produces the metrics
+/// of [`SystemSim::run_kernel`] on the same workload, bit for bit. With
+/// observers on, the exported final snapshot also agrees with them on
+/// every counter outside the `attrib.*` ledgers.
+#[test]
+fn every_source_and_instrumentation_matches_run_kernel() {
+    let graph = GraphSpec::uniform(3_000, 12_000).seed(11).build();
+    let config = SystemConfig::tiny(PimMode::GraphPim);
+    let bfs = || by_name("BFS", KernelParams::default()).expect("BFS exists");
+    let want = SystemSim::run_kernel(bfs().as_mut(), &graph, &config);
+    let want_counters = want.counter_registry();
+    let bytes = capture_kernel(bfs().as_mut(), &graph, config.sim.core.cores);
+    let trace = DecodedTrace::decode(&bytes).expect("valid capture");
+    let dir = temp_dir("sources");
+    for (source_name, live) in [("live", true), ("trace", false)] {
+        for observed in [false, true] {
+            let what = format!("{source_name} source, observed={observed}");
+            let run_dir = dir.join(format!("{source_name}-{observed}"));
+            std::fs::create_dir_all(&run_dir).expect("create run dir");
+            let instr = if observed {
+                Instrumentation {
+                    trace: Some(TraceExporter::create(run_dir.join("run.jsonl")).expect("trace")),
+                    perfetto: Some(PerfettoTrace::create(run_dir.join("run.trace.json"))),
+                    attribution: true,
+                }
+            } else {
+                Instrumentation::default()
+            };
+            let mut kernel = bfs();
+            let mut workload = |fw: &mut Framework<'_>| kernel.run(&graph, fw);
+            let source = if live {
+                Source::Live(&mut workload)
+            } else {
+                Source::Trace(&trace)
+            };
+            let got = SystemSim::run(source, &config, instr);
+            assert_eq!(got, want, "{what}");
+            assert_eq!(
+                got.total_cycles.to_bits(),
+                want.total_cycles.to_bits(),
+                "{what}"
+            );
+            let got_counters = got.counter_registry();
+            assert_eq!(got_counters.len(), want_counters.len(), "{what}");
+            for (key, value) in want_counters.iter() {
+                let got_value = got_counters.get(key).expect("same counter set");
+                assert_eq!(got_value.to_bits(), value.to_bits(), "{what}: {key}");
+            }
+            if observed {
+                let snapshot = final_snapshot(&run_dir);
+                for (key, value) in want_counters.iter() {
+                    let exported = snapshot.counters.get(key);
+                    assert_eq!(exported, Some(value), "{what}: exported {key}");
+                }
+                assert!(snapshot
+                    .counters
+                    .iter()
+                    .any(|(k, _)| k.starts_with("attrib.")));
+                assert!(run_dir.join("run.trace.json").is_file(), "{what}: perfetto");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
